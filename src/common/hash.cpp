@@ -56,6 +56,31 @@ const KWiseHash& HashFamily::fn(uint32_t i) const {
   return fns_[i];
 }
 
+uint64_t HashFamily::bits(uint64_t x, uint32_t count) const {
+  NCC_ASSERT(count <= 64 && count <= fns_.size());
+  if (count == 0) return 0;
+  // Every function has the same k. Each product is below p^2 < 2^122, so a
+  // sum of k <= 64 of them fits 128 bits and is reduced once at the end.
+  const size_t k = fns_[0].coeffs_.size();
+  NCC_ASSERT(k <= 64);
+  uint64_t pw[64];
+  pw[0] = 1;
+  const uint64_t xm = mod61(x);
+  for (size_t i = 1; i < k; ++i) pw[i] = mulmod61(pw[i - 1], xm);
+  uint64_t out = 0;
+  for (uint32_t t = 0; t < count; ++t) {
+    const uint64_t* c = fns_[t].coeffs_.data();
+    __uint128_t s = 0;
+    for (size_t i = 0; i < k; ++i) s += static_cast<__uint128_t>(c[i]) * pw[i];
+    // 2^61 = 1 (mod p): fold the 61-bit limbs of s.
+    uint64_t folded = static_cast<uint64_t>(s & kMersenne61) +
+                      static_cast<uint64_t>((s >> 61) & kMersenne61) +
+                      static_cast<uint64_t>(s >> 122);
+    out |= (mod61(folded) & 1u) << t;
+  }
+  return out;
+}
+
 uint64_t HashFamily::randomness_words() const {
   uint64_t w = 0;
   for (const auto& f : fns_) w += f.randomness_words();

@@ -52,6 +52,7 @@ class KWiseHash {
   uint64_t randomness_words() const { return coeffs_.size(); }
 
  private:
+  friend class HashFamily;
   std::vector<uint64_t> coeffs_;  // low-to-high degree
 };
 
@@ -64,6 +65,11 @@ class HashFamily {
 
   const KWiseHash& fn(uint32_t i) const;
   uint32_t size() const { return static_cast<uint32_t>(fns_.size()); }
+
+  /// fn(t).bit(x) for t < count, packed with bit t = function t (count <= 64).
+  /// Same bits as the one-by-one calls; the powers of x are computed once and
+  /// shared by all count polynomials.
+  uint64_t bits(uint64_t x, uint32_t count) const;
 
   /// Total shared-randomness words across the family (for setup-cost charging).
   uint64_t randomness_words() const;

@@ -71,10 +71,38 @@ MstResult run_mst(const Shared& shared, Network& net, const Graph& g,
                                       2 * logn);
   Rng coin_rng = shared.local_rng(mix64(0xc011 ^ rng_tag));
 
+  // Directed arcs in CSR order: node u owns slots [first[u], first[u + 1]),
+  // one per neighbor in g.neighbors(u) order. Per slot, the arc's FindMin key
+  // and the slot of its reverse arc (v, u).
+  std::vector<uint64_t> first(n + 1, 0);
+  for (NodeId u = 0; u < n; ++u) first[u + 1] = first[u] + g.degree(u);
+  std::vector<uint64_t> arc_key(first[n]);
+  std::vector<uint64_t> rev(first[n]);
+  for (NodeId u = 0; u < n; ++u) {
+    auto nbrs = g.neighbors(u);
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      NodeId v = nbrs[i];
+      auto back = g.neighbors(v);
+      arc_key[first[u] + i] = codec.key(u, v, g.weight(u, v));
+      rev[first[u] + i] =
+          first[v] + static_cast<uint64_t>(std::lower_bound(back.begin(), back.end(), u) -
+                                           back.begin());
+    }
+  }
+  std::vector<uint64_t> sig(first[n]);
+
   while (true) {
     ++res.phases;
     NCC_ASSERT_MSG(res.phases <= 8 * logn + 8, "MST failed to converge");
     const uint64_t phase_salt = mix64(rng_tag ^ (res.phases * 0x9e3779b9ULL));
+    // Sketch word of every arc for this phase: bit t = trial t's hash bit.
+    // Every probe below reads the low bits of these words, so each arc is
+    // hashed once per phase, not once per search iteration.
+    for (NodeId u = 0; u < n; ++u) {
+      auto nbrs = g.neighbors(u);
+      for (size_t i = 0; i < nbrs.size(); ++i)
+        sig[first[u] + i] = fam.bits(mix64(arc_id(u, nbrs[i]) ^ phase_salt), params.trials);
+    }
 
     // Rebuild component multicast trees: members = C \ {leader}, group id =
     // leader id (disjoint groups => congestion O(log n), Theorem 2.4).
@@ -134,31 +162,28 @@ MstResult run_mst(const Shared& shared, Network& net, const Graph& g,
       return (phi - plo) / A + 1;  // ceil((hi-lo+1)/A)
     };
     for (uint32_t iter = 0; iter < iters; ++iter) {
-      // Leaders multicast the probe range [lo, hi]; nodes derive the A-way
+      // Leaders multicast the probe range [lo, hi], so every node learns its
+      // component's probe (leaders know it locally); nodes derive the A-way
       // split locally (A is a global parameter).
       std::vector<MulticastSend> probes;
-      // det-lint: allow(unordered-container) — drained into the dense per-node array
-      // node_probe, a scatter to distinct slots; traversal order cannot leak.
-      std::unordered_map<NodeId, std::pair<uint64_t, uint64_t>> probe_of;
+      std::vector<std::pair<uint64_t, uint64_t>> node_probe(n, {1, 0});
       for (auto& [l, s] : search) {
         if (s.done || (iter > 0 && s.lo >= s.hi)) continue;
         probes.push_back({l, l, Val{s.lo, s.hi}});
-        probe_of[l] = {s.lo, s.hi};
+        node_probe[l] = {s.lo, s.hi};
       }
       auto mc = run_multicast(shared, net, trees.trees, probes, 1,
                               mix64(rng_tag ^ (res.phases * 31 + 3 + iter)));
-      // Every node learns its component's probe (leaders know locally).
-      std::vector<std::pair<uint64_t, uint64_t>> node_probe(n, {1, 0});
-      for (auto& [l, pr] : probe_of) node_probe[l] = pr;
       for (NodeId u = 0; u < n; ++u)
         for (const AggPacket& p : mc.received[u]) node_probe[u] = {p.val[0], p.val[1]};
 
       // Sketch aggregation to the leaders: per subrange j, trial t, bit
       // position j*Ts + t; the first iteration probes existence over the
-      // whole range with the full trial budget.
+      // whole range with the full trial budget (trials <= 60 fits one word).
       const bool existence = (iter == 0);
       const uint32_t groups = existence ? 1 : A;
-      const uint32_t bits = existence ? std::min(params.trials, 60u) : Ts;
+      const uint32_t bits = existence ? params.trials : Ts;
+      const uint64_t mask = (uint64_t{1} << bits) - 1;
       AggregationProblem prob;
       prob.combine = agg::xor_xor;
       prob.target = [](uint64_t grp) { return static_cast<NodeId>(grp); };
@@ -167,21 +192,15 @@ MstResult run_mst(const Shared& shared, Network& net, const Graph& g,
         auto [plo, phi] = node_probe[u];
         if (plo > phi) continue;  // no probe for this component this iter
         uint64_t len = existence ? (phi - plo + 1) : split_len(plo, phi);
+        // The down word of arc (u, v) is the up word of its reverse arc.
         uint64_t up = 0, down = 0;
-        for (NodeId v : g.neighbors(u)) {
-          uint64_t k = codec.key(u, v, g.weight(u, v));
+        for (uint64_t slot = first[u]; slot < first[u + 1]; ++slot) {
+          uint64_t k = arc_key[slot];
           if (k < plo || k > phi) continue;
           uint32_t j = static_cast<uint32_t>((k - plo) / len);
           NCC_ASSERT(j < groups);
-          for (uint32_t t = 0; t < bits; ++t) {
-            uint32_t pos = j * bits + t;
-            up ^= static_cast<uint64_t>(
-                      fam.fn(t).bit(mix64(arc_id(u, v) ^ phase_salt)))
-                  << pos;
-            down ^= static_cast<uint64_t>(
-                        fam.fn(t).bit(mix64(arc_id(v, u) ^ phase_salt)))
-                    << pos;
-          }
+          up ^= (sig[slot] & mask) << (j * bits);
+          down ^= (sig[rev[slot]] & mask) << (j * bits);
         }
         prob.items.push_back({u, res.leader[u], Val{up, down}});
       }
@@ -201,7 +220,6 @@ MstResult run_mst(const Shared& shared, Network& net, const Graph& g,
         }
         // Pick the lowest subrange whose sketches differ.
         uint64_t len = split_len(s.lo, s.hi);
-        const uint64_t mask = bits >= 64 ? ~uint64_t{0} : ((uint64_t{1} << bits) - 1);
         bool found = false;
         for (uint32_t j = 0; j < groups; ++j) {
           uint64_t uj = (up >> (j * bits)) & mask;

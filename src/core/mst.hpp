@@ -20,6 +20,14 @@
 // O(log n) one-bit trials of a comparison into a single message word, which
 // is model-legal and shaves a log factor off the constant (documented in
 // EXPERIMENTS.md when comparing measured rounds to the O(log^4 n) bound).
+//
+// Local computation: each node builds the FindMin keys of its incident arcs
+// once per run, and hashes each incident arc once per Boruvka phase into a
+// sketch word (bit t = trial t). A search iteration only selects the in-range
+// arcs and shifts the low bits of their words into subrange j's slot; the
+// down word of arc (u, v) is the up word of its reverse arc (v, u), which u
+// can hash itself. This keeps O(deg) words per node and adds no rounds or
+// messages: every aggregated word is the same as hashing per iteration.
 #pragma once
 
 #include <cstdint>

@@ -154,6 +154,23 @@ TEST(Hash, FamilyFunctionsDiffer) {
   EXPECT_EQ(fam.randomness_words(), 4u * 8u);
 }
 
+TEST(Hash, FamilyBitsMatchPerFunctionBits) {
+  Rng r(23);
+  std::vector<uint64_t> xs = {0, 1, kMersenne61 - 1, kMersenne61, ~uint64_t{0}};
+  for (int i = 0; i < 200; ++i) xs.push_back(r.next());
+  for (uint32_t k : {1u, 2u, 14u, 32u, 64u}) {
+    HashFamily fam(64, k, 1000 + k);
+    for (uint64_t x : xs) {
+      for (uint32_t count : {0u, 1u, 40u, 64u}) {
+        uint64_t want = 0;
+        for (uint32_t t = 0; t < count; ++t)
+          want |= static_cast<uint64_t>(fam.fn(t).bit(x)) << t;
+        EXPECT_EQ(fam.bits(x, count), want) << "k " << k << " x " << x << " count " << count;
+      }
+    }
+  }
+}
+
 TEST(Stats, AccumulatorMoments) {
   Accumulator acc;
   for (double x : {1.0, 2.0, 3.0, 4.0}) acc.add(x);

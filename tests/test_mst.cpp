@@ -82,3 +82,58 @@ TEST(Mst, EachEdgeKnownByExactlyOneEndpoint) {
     EXPECT_TRUE(k == res.edges[i].u || k == res.edges[i].v);
   }
 }
+
+// Byte-identity pin for the FindMin sketch search: one weighted gnm graph
+// (n = 96, m = 8n, weights < 2^16) over search_arity x trials. The grid covers
+// every case where the existence probe packs more bits than a refinement step
+// (min(trials, 60) vs min(trials, 64 / arity)). The expected values were
+// recorded by running this test body on the commit before FindMin's sketch
+// words were precomputed once per phase, so any change to FindMin's local
+// computation must leave phases, rounds, messages, every delivered payload
+// word (`traffic`, which carries the aggregated sketch words) and the output
+// unchanged.
+TEST(Mst, FindMinPinnedAcrossArityAndTrials) {
+  struct Pin {
+    uint32_t arity, trials, phases;
+    uint64_t rounds, messages, traffic, total_weight, out_hash;
+  };
+  const Pin pins[] = {
+      {2, 16, 19, 59098, 1369670, 0x4d9a559b2271ad25, 472435, 0x57ba5d24517fe5d1},
+      {2, 40, 19, 59146, 1369670, 0x7ca5fcae24841481, 472435, 0x57ba5d24517fe5d1},
+      {2, 60, 19, 59186, 1369670, 0xeddab30ce671e038, 472435, 0x57ba5d24517fe5d1},
+      {4, 16, 19, 33016, 760650, 0xc0811659ffea8cb7, 472435, 0x57ba5d24517fe5d1},
+      {4, 40, 19, 33064, 760650, 0x8152da35516c40e7, 472435, 0x57ba5d24517fe5d1},
+      {4, 60, 19, 33104, 760650, 0x1bb0f153e5e7eb77, 472435, 0x57ba5d24517fe5d1},
+      {8, 16, 19, 24324, 557554, 0xd4ac91a1aef3407a, 472435, 0x57ba5d24517fe5d1},
+      {8, 40, 19, 24372, 557554, 0x34dac4ce8168b8cf, 472435, 0x57ba5d24517fe5d1},
+      {8, 60, 19, 24412, 557554, 0xf3512039f65100a9, 472435, 0x57ba5d24517fe5d1},
+  };
+  Rng rng(41);
+  Graph base = gnm_graph(96, 8 * 96, rng);
+  Graph g = with_random_weights(base, (1u << 16) - 1, rng);
+  for (const Pin& pin : pins) {
+    Network net(NetConfig{.n = g.n(), .capacity_factor = 8, .strict_send = true, .seed = 43});
+    Shared shared(g.n(), 43);
+    uint64_t traffic = 0;
+    auto hook = net.add_delivery_hook([&](const Message& m, uint64_t round) {
+      traffic = mix64(traffic ^ round ^ arc_id(m.src, m.dst) ^ (uint64_t{m.tag} << 20));
+      for (uint8_t w = 0; w < m.nwords; ++w) traffic = mix64(traffic ^ m.words[w]);
+    });
+    MstParams params{.trials = pin.trials, .search_arity = pin.arity};
+    auto res = run_mst(shared, net, g, params, 43);
+    net.remove_delivery_hook(hook);
+    uint64_t h = 0;
+    for (size_t i = 0; i < res.edges.size(); ++i) {
+      h = mix64(h ^ edge_id(res.edges[i].u, res.edges[i].v));
+      h = mix64(h ^ res.edges[i].w);
+      h = mix64(h ^ res.known_by[i]);
+    }
+    SCOPED_TRACE(testing::Message() << "arity " << pin.arity << " trials " << pin.trials);
+    EXPECT_EQ(res.phases, pin.phases);
+    EXPECT_EQ(res.rounds, pin.rounds);
+    EXPECT_EQ(net.stats().messages_sent, pin.messages);
+    EXPECT_EQ(traffic, pin.traffic);
+    EXPECT_EQ(res.total_weight, pin.total_weight);
+    EXPECT_EQ(h, pin.out_hash);
+  }
+}
