@@ -70,10 +70,6 @@ void Network::send(const Message& msg) {
   runs_.back().push(msg);
 }
 
-void Network::send_bulk(std::span<const Message> msgs) {
-  for (const Message& m : msgs) send(m);
-}
-
 void Network::end_round() {
   const NodeId n = config_.n;
   const uint64_t round = stats_.rounds;

@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -178,20 +177,15 @@ class Network {
     send(Message(src, dst, tag, words));
   }
 
-  /// Bulk staging: queue a whole buffer of messages in one call, with the
-  /// same per-message accounting and ordering as a send() loop. Used by the
-  /// router's per-shard merges so staged shard buffers are handed over
-  /// wholesale instead of message by message.
-  void send_bulk(std::span<const Message> msgs);
-
   /// Arena handoff, the zero-copy bulk path: callers (the engine's
-  /// send_loop) fill a pooled arena off-thread and stage it wholesale as the
-  /// next sorted run of this round's pending traffic. stage_run() only scans
-  /// the 20-byte headers for send accounting — no message is copied. Runs
-  /// concatenate in staging order, so handing over per-shard arenas in shard
-  /// order reproduces the sequential send order exactly (the determinism
-  /// contract's merge step). Arenas are recycled into an internal pool at
-  /// end_round(); acquire from the pool so capacity is reused across rounds.
+  /// send_loop, the router's step loop) fill a pooled arena off-thread and
+  /// stage it wholesale as the next sorted run of this round's pending
+  /// traffic. stage_run() only scans the 20-byte headers for send
+  /// accounting — no message is copied. Runs concatenate in staging order,
+  /// so handing over per-shard arenas in shard order reproduces the
+  /// sequential send order exactly (the determinism contract's merge step).
+  /// Arenas are recycled into an internal pool at end_round(); acquire from
+  /// the pool so capacity is reused across rounds.
   MsgArena acquire_arena();
   void stage_run(MsgArena&& run);
 

@@ -30,18 +30,19 @@ Val xor_xor(const Val& a, const Val& b) { return {a[0] ^ b[0], a[1] ^ b[1]}; }
 
 namespace {
 
-// Message tags (low byte carries the destination routing level).
-constexpr uint32_t kTagDownPacket = 0x0100;
-constexpr uint32_t kTagDownToken = 0x0200;
-constexpr uint32_t kTagUpPacket = 0x0300;
-constexpr uint32_t kTagUpToken = 0x0400;
-
-constexpr uint32_t tag_kind(uint32_t tag) { return tag & 0xff00u; }
-constexpr uint32_t tag_level(uint32_t tag) { return tag & 0x00ffu; }
-
 // Down-edge degrees can reach 2d <= 62 (augmented cube), so per-node edge
 // masks are uint64_t and this is the hard ceiling a new overlay must respect.
 constexpr uint32_t kMaxDegree = 62;
+
+/// Tokens one drain launches: one per (state, down-edge) above the final level.
+uint64_t token_count(const Overlay& topo) {
+  uint64_t count = 0;
+  for (uint32_t l = 0; l + 1 < topo.levels(); ++l) {
+    NCC_ASSERT(topo.down_degree(l) <= kMaxDegree);
+    count += static_cast<uint64_t>(topo.down_degree(l)) * topo.columns();
+  }
+  return count;
+}
 
 /// Priority of a group under the contention rule: smallest rank first, ties
 /// broken by smallest group id (Appendix B.2).
@@ -51,13 +52,6 @@ struct Prio {
   bool operator<(const Prio& o) const {
     return rank != o.rank ? rank < o.rank : group < o.group;
   }
-};
-
-/// Per-edge contention winner scratch (indexed by down-edge).
-struct EdgeBest {
-  bool found = false;
-  Prio best{};
-  uint64_t group = 0;
 };
 
 /// Tracks the max number of distinct groups observed at any overlay node.
@@ -99,32 +93,316 @@ class ActiveSet {
     for (uint64_t i : items_) flag_[i] = false;
     return std::exchange(items_, {});
   }
-  bool empty() const { return items_.empty(); }
 
  private:
   std::vector<bool> flag_;
   std::vector<uint64_t> items_;
 };
 
-/// The stall heartbeat shared by both engines: when a faulted network ate
-/// every in-flight message of a round (zero progress), re-send all tokens
-/// already launched. Token arrival is a bitmask OR, so duplicates are free;
-/// a reliable network moves a packet or token every round and never gets
-/// here. `send_token(idx, edge)` emits the cross-edge token message.
-uint64_t resend_sent_tokens(const std::vector<uint64_t>& token_sent,
-                            const std::function<void(uint64_t, uint32_t)>& send_token) {
-  uint64_t resent = 0;
-  for (uint64_t idx = 0; idx < token_sent.size(); ++idx) {
-    uint64_t mask = token_sent[idx] & ~uint64_t{1};  // straight tokens are local
-    while (mask) {
-      uint32_t e = static_cast<uint32_t>(std::countr_zero(mask));
-      mask &= mask - 1;
-      send_token(idx, e);
-      ++resent;
+// The two directions of the token-drain core. For a routing state at
+// `level`, a direction names the level its packets and tokens move to
+// (`next`), the overlay level whose down-edges carry them (`link`: an up-edge
+// is the reversed down-edge of the level below, up_column(l, c, e) ==
+// down_column(l - 1, c, e)) and the level whose down-edges its tokens arrive
+// over (`in_link`).
+template <bool kDown>
+struct Direction {
+  static constexpr uint32_t kPacket = kDown ? 0x0100 : 0x0300;
+  static constexpr uint32_t kToken = kDown ? 0x0200 : 0x0400;
+  static uint32_t start(uint32_t final_level) { return kDown ? 0 : final_level; }
+  static uint32_t terminal(uint32_t final_level) { return kDown ? final_level : 0; }
+  static uint32_t next(uint32_t level) { return kDown ? level + 1 : level - 1; }
+  static uint32_t link(uint32_t level) { return kDown ? level : level - 1; }
+  static uint32_t in_link(uint32_t level) { return kDown ? level - 1 : level; }
+};
+using Down = Direction<true>;
+using Up = Direction<false>;
+
+/// One group queued at a routing state: its (combined) value and the edges it
+/// still has to cross. A down packet has one bit, its greedy route_edge,
+/// fixed at deposit; an up packet carries its recorded up-edge mask.
+struct Entry {
+  Val val;
+  uint64_t edges;
+};
+
+/// Hash evaluations every node can compute from the shared randomness,
+/// cached per group: its rank and (going down) its destination column.
+struct GroupMeta {
+  NodeId dest;
+  uint64_t rank;
+};
+
+/// The router run in one direction: per round, every active state sends the
+/// min-(rank, group) entry on each of its edges and launches a token on every
+/// edge it will never use again; the run ends when the tokens drain. The
+/// direction-specific policies — what a packet arrival does (`arrive`) and
+/// what a state's token completion does (`token_done`) — are passed to run()
+/// and called only on the caller thread's sequential merge.
+template <class Dir>
+struct TokenDrain {
+  const Overlay& topo;
+  Network& net;
+  RouteStats& stats;
+  const std::function<uint64_t(uint64_t)>& rank;
+  const std::function<NodeId(uint64_t)>* dest_col;  // null going up
+  MulticastTrees* record;                           // null going up
+  CombiningCache* cache;
+  // Per-call cache stats delta: all cache traffic runs at the sequential
+  // merge points, so the delta is thread-count invariant.
+  const CombiningCache::Stats cache_before = cache ? cache->stats() : CombiningCache::Stats{};
+  const uint32_t final_level = topo.levels() - 1;
+  const NodeId cols = topo.columns();
+  FlatMap<GroupMeta> meta{};
+  std::vector<FlatMap<Entry>> queue = std::vector<FlatMap<Entry>>(topo.node_count());
+  uint64_t remaining = 0;  // edges still to cross, summed over all entries
+  ActiveSet active{topo.node_count()};
+  // Tokens flow start -> terminal behind the packets, one per (state, edge).
+  // Each token message carries its edge index and tokens_recv tracks in-edges
+  // as a bitmask (in-degree == out-degree: generators are involutions), so
+  // duplicate deliveries — the stall heartbeat's resends — are idempotent.
+  std::vector<uint64_t> tokens_recv = std::vector<uint64_t>(topo.node_count(), 0);
+  std::vector<uint64_t> token_sent = std::vector<uint64_t>(topo.node_count(), 0);
+  uint64_t tokens_pending = token_count(topo);
+  // Packet and token moves applied at the merge; counted toward the round's
+  // progress so the stall heartbeat only fires when the network truly
+  // delivered nothing new.
+  uint64_t progress = 0;
+
+  struct Move {
+    uint32_t level;  // destination level
+    NodeId col;
+    uint64_t group;
+    Val val;
+    bool is_token;
+    uint32_t edge;  // token in-edge index
+  };
+  struct RecordOp {
+    uint64_t cidx;
+    uint64_t group;
+    uint64_t bit;
+  };
+  /// One shard's staged step effects, merged in shard order.
+  struct StepOut {
+    MsgArena sends;
+    std::vector<Move> local;
+    std::vector<RecordOp> rec;
+    std::vector<uint64_t> readd;
+    uint64_t moved = 0, tokens = 0;
+  };
+
+  /// Metadata of `g`, computed on first sight. Only the sequential merge
+  /// inserts, so the parallel step loop reads a frozen map.
+  const GroupMeta& group(uint64_t g) {
+    auto [slot, fresh] = meta.emplace(g, {});
+    if (fresh) *slot = {dest_col ? (*dest_col)(g) : 0, rank(g)};
+    NCC_ASSERT(slot->dest < cols);
+    return *slot;
+  }
+
+  /// Queue group `g` at state `idx` to cross `edges` and activate the state.
+  /// If the group is already queued there, its entry is returned untouched
+  /// (second == false) for the caller to combine into or reject.
+  std::pair<Entry*, bool> push(uint64_t idx, uint64_t g, const Val& v, uint64_t edges) {
+    auto [slot, fresh] = queue[idx].emplace(g, Entry{v, edges});
+    if (fresh) remaining += std::popcount(edges);
+    active.add(idx);
+    return {slot, fresh};
+  }
+
+  uint64_t full_mask(uint32_t link) const { return (uint64_t{1} << topo.down_degree(link)) - 1; }
+  /// True once every in-edge token arrived (start-level states: at once).
+  bool token_ready(uint64_t idx) const {
+    uint32_t level = static_cast<uint32_t>(idx / cols);
+    return level == Dir::start(final_level) ||
+           tokens_recv[idx] == full_mask(Dir::in_link(level));
+  }
+
+  // One shard's slice of the step: each item only mutates its own queue and
+  // token state, and every cross-node effect (sends, straight-edge moves,
+  // tree records, counters, re-activation) is staged in `out`.
+  void step(StepOut& out, const std::vector<uint64_t>& items, uint64_t ib, uint64_t ie) {
+    // Per-edge contention winners, live where `wanted` has the edge's bit —
+    // so no per-item reset of the 62-slot array on the router's hottest path.
+    std::array<Prio, kMaxDegree> best;
+    for (uint64_t ii = ib; ii < ie; ++ii) {
+      const uint64_t idx = items[ii];
+      const uint32_t level = static_cast<uint32_t>(idx / cols);
+      const NodeId col = static_cast<NodeId>(idx % cols);
+      NCC_ASSERT(level != Dir::terminal(final_level));  // terminal states never enqueue work
+      const uint32_t link = Dir::link(level), next = Dir::next(level);
+      FlatMap<Entry>& q = queue[idx];
+      // The winner is the min by (rank, group) — a total order — so it does
+      // not depend on the queue's iteration order.
+      uint64_t wanted = 0;
+      q.for_each([&](uint64_t g, const Entry& en) {
+        const Prio p{meta.find(g)->rank, g};
+        for (uint64_t mask = en.edges; mask; mask &= mask - 1) {
+          const uint32_t e = static_cast<uint32_t>(std::countr_zero(mask));
+          if (!(wanted >> e & 1) || p < best[e]) best[e] = p;
+          wanted |= uint64_t{1} << e;
+        }
+      });
+      // Every wanted edge carries its winner this round.
+      for (uint64_t mask = wanted; mask; mask &= mask - 1) {
+        const uint32_t e = static_cast<uint32_t>(std::countr_zero(mask));
+        const uint64_t bit = uint64_t{1} << e, g = best[e].group;
+        Entry* en = q.find(g);
+        const Val v = en->val;
+        en->edges &= ~bit;
+        if (en->edges == 0) q.erase(g);
+        ++out.moved;
+        const NodeId ncol = topo.down_column(link, col, e);
+        // Record the reverse (up) edge at the child for the multicast tree.
+        // The child may belong to another shard, so stage the op.
+        if (record) out.rec.push_back({topo.index(next, ncol), g, bit});
+        if (e == 0) {
+          out.local.push_back({next, ncol, g, v, false, 0});
+        } else {
+          out.sends.push(Message(topo.host(col), topo.host(ncol), Dir::kPacket | next,
+                                 {g, v[0], v[1]}));
+        }
+      }
+      // A packet remaining at the node means another packet of its group may
+      // still arrive and combine; the token waits for the edge to clear.
+      const bool ready = token_ready(idx);
+      const uint32_t deg = topo.down_degree(link);
+      for (uint32_t e = 0; ready && e < deg; ++e) {
+        const uint64_t bit = uint64_t{1} << e;
+        if ((wanted | token_sent[idx]) & bit) continue;
+        token_sent[idx] |= bit;
+        ++out.tokens;
+        const NodeId ncol = topo.down_column(link, col, e);
+        if (e == 0) {
+          out.local.push_back({next, ncol, 0, {}, true, 0});
+        } else {
+          out.sends.push(Message(topo.host(col), topo.host(ncol), Dir::kToken | next, {e}));
+        }
+      }
+      if (!q.empty() || (ready && token_sent[idx] != full_mask(link))) out.readd.push_back(idx);
     }
   }
-  return resent;
-}
+
+  // The stall heartbeat: when a faulted network ate every in-flight message
+  // of a round (zero progress), re-send all tokens already launched. Token
+  // arrival is a bitmask OR, so duplicates are free; a reliable network moves
+  // a packet or token every round and never gets here.
+  void resend_tokens() {
+    for (uint64_t idx = 0; idx < token_sent.size(); ++idx) {
+      const uint32_t level = static_cast<uint32_t>(idx / cols);
+      const NodeId col = static_cast<NodeId>(idx % cols);
+      // Bit 0 is the straight edge: its token is local and never lost.
+      for (uint64_t mask = token_sent[idx] & ~uint64_t{1}; mask; mask &= mask - 1) {
+        const uint32_t e = static_cast<uint32_t>(std::countr_zero(mask));
+        const NodeId ncol = topo.down_column(Dir::link(level), col, e);
+        net.send(topo.host(col), topo.host(ncol), Dir::kToken | Dir::next(level), {e});
+        ++stats.token_resends;
+      }
+    }
+  }
+
+  template <class Arrive, class TokenDone>
+  void run(Arrive&& arrive, TokenDone&& token_done) {
+    const uint32_t terminal = Dir::terminal(final_level);
+    for (NodeId c = 0; c < cols; ++c) active.add(topo.index(Dir::start(final_level), c));
+    std::vector<StepOut> outs(engine_shards(net));
+    std::vector<std::vector<Move>> arrivals(outs.size());
+    std::vector<Move> local;
+    std::vector<uint64_t> items;
+
+    auto apply = [&](const Move& mv) {
+      if (!mv.is_token) {
+        ++progress;
+        arrive(mv.level, mv.col, mv.group, mv.val);
+        return;
+      }
+      if (mv.level == terminal) return;  // terminal tokens end here
+      const uint64_t idx = topo.index(mv.level, mv.col);
+      const uint64_t bit = uint64_t{1} << mv.edge;
+      if (!(tokens_recv[idx] & bit)) {
+        tokens_recv[idx] |= bit;
+        ++progress;
+        if (token_ready(idx)) token_done(idx);
+      }
+      if (token_ready(idx) && token_sent[idx] != full_mask(Dir::link(mv.level)))
+        active.add(idx);
+    };
+
+    bool first_round = true;
+    while (remaining > 0 || tokens_pending > 0) {
+      if (!first_round && progress == 0) resend_tokens();
+      first_round = false;
+      progress = 0;
+
+      // The step runs shard-parallel over the active states and stages its
+      // sends in pooled network arenas (acquired here, on the caller thread);
+      // the merge hands them over zero-copy in shard order — the sequential
+      // send order, as in Engine::send_loop — and applies the other staged
+      // effects in the same order.
+      items = active.take();
+      for (StepOut& out : outs) out.sends = net.acquire_arena();
+      engine_ranges(net, items.size(), [&](uint32_t s, uint64_t ib, uint64_t ie) {
+        step(outs[s], items, ib, ie);
+      });
+      local.clear();
+      for (StepOut& out : outs) {
+        net.stage_run(std::move(out.sends));
+        local.insert(local.end(), out.local.begin(), out.local.end());
+        for (const RecordOp& op : out.rec) record->children[op.cidx][op.group] |= op.bit;
+        for (uint64_t idx : out.readd) active.add(idx);
+        stats.packets_moved += out.moved;
+        progress += out.moved + out.tokens;
+        remaining -= out.moved;
+        tokens_pending -= out.tokens;
+        out.local.clear();
+        out.rec.clear();
+        out.readd.clear();
+        out.moved = out.tokens = 0;
+      }
+
+      net.end_round();
+      ++stats.rounds;
+
+      for (const Move& mv : local) apply(mv);
+      // Arrival scan, sharded over host columns: each shard decodes its
+      // columns' inboxes into staged moves; the merge applies them in shard
+      // order, which concatenates back to the sequential column-ascending
+      // scan order — so arrivals (which touch shared routing state) stay on
+      // the caller thread and bit-identical for any shard count.
+      engine_ranges(net, cols, [&](uint32_t s, uint64_t ub, uint64_t ue) {
+        std::vector<Move>& arr = arrivals[s];
+        for (uint64_t u = ub; u < ue; ++u) {
+          for (const Message& m : net.inbox(static_cast<NodeId>(u))) {
+            // Tags carry the destination level in the low byte.
+            const uint32_t kind = m.tag & 0xff00u, level = m.tag & 0xffu;
+            if (kind == Dir::kPacket) {
+              arr.push_back({level, static_cast<NodeId>(u), m.word(0),
+                             Val{m.word(1), m.word(2)}, false, 0});
+            } else if (kind == Dir::kToken) {
+              // The in-edge is derived from the transport framing (src and
+              // dst are network truth), never from the payload: a byzantine
+              // mutation of the payload cannot poison the in-edge bitmask.
+              const uint32_t e = topo.edge_from_delta(Dir::in_link(level),
+                                                      static_cast<NodeId>(u) ^ m.src);
+              arr.push_back({level, static_cast<NodeId>(u), 0, {}, true, e});
+            }
+          }
+        }
+      });
+      for (std::vector<Move>& arr : arrivals) {
+        for (const Move& mv : arr) apply(mv);
+        arr.clear();
+      }
+    }
+
+    if (cache) {
+      const CombiningCache::Stats& cs = cache->stats();
+      stats.cache_hits = cs.hits - cache_before.hits;
+      stats.cache_misses = cs.misses - cache_before.misses;
+      stats.cache_evictions = cs.evictions - cache_before.evictions;
+    }
+  }
+};
 
 }  // namespace
 
@@ -148,113 +426,69 @@ DownResult route_down(const Overlay& topo, Network& net,
   const uint32_t F = topo.levels() - 1;  // final routing level
   const NodeId cols = topo.columns();
   NCC_ASSERT(at_col.size() == cols);
-  for (uint32_t l = 0; l < F; ++l) NCC_ASSERT(topo.down_degree(l) <= kMaxDegree);
 
   DownResult result;
+  TokenDrain<Down> core{topo, net, result.stats, rank, &dest_col, record, cache};
   CongestionTracker congestion(topo.overlay_node_count());
-
-  // Cached group metadata (dest column and rank are hash evaluations that
-  // every node can compute from the shared randomness). Populated on deposit
-  // — always sequential — so the parallel step loop reads a frozen map.
-  FlatMap<std::pair<NodeId, uint64_t>> meta;
-  auto group_meta = [&](uint64_t g) -> const std::pair<NodeId, uint64_t>& {
-    auto [slot, fresh] = meta.emplace(g, {});
-    if (fresh) {
-      NodeId dc = dest_col(g);
-      NCC_ASSERT(dc < cols);
-      *slot = std::make_pair(dc, rank(g));
-    }
-    return *slot;
-  };
-  auto meta_of = [&](uint64_t g) -> const std::pair<NodeId, uint64_t>& {
-    const auto* slot = meta.find(g);
-    NCC_ASSERT(slot != nullptr);
-    return *slot;
-  };
-
-  // Per routing state: combined pending packet per group.
-  std::vector<FlatMap<Val>> pending(topo.node_count());
-  uint64_t pending_total = 0;
-  ActiveSet active(topo.node_count());
-  // Effects applied after end_round() on the caller thread; counted toward
-  // the round's progress so the stall heartbeat only fires when the network
-  // truly delivered nothing new.
-  uint64_t progress = 0;
-
-  // Token state: tokens flow level 0 -> F behind the packets, one per
-  // (node, down-edge). Each token message carries its edge index and
-  // tokens_recv tracks in-edges as a bitmask (in-degree == down-degree of the
-  // level above: generators are involutions), so duplicate deliveries — the
-  // stall heartbeat re-sends — are idempotent. Level-0 nodes start ready.
-  // Declared before deposit() because the absorber admission rule reads
-  // token_ready (see below).
-  std::vector<uint64_t> tokens_recv(topo.node_count(), 0);
-  std::vector<uint64_t> token_sent(topo.node_count(), 0);
-  auto full_mask = [&](uint32_t level) -> uint64_t {
-    return (uint64_t{1} << topo.down_degree(level)) - 1;
-  };
-  auto token_ready = [&](uint64_t idx) {
-    uint32_t level = static_cast<uint32_t>(idx / cols);
-    return level == 0 || tokens_recv[idx] == full_mask(level - 1);
-  };
-
-  // En-route cache bookkeeping (overlay/cache.hpp). All cache traffic runs
-  // at the sequential deposit/token merge points, so hits and evictions are
-  // bit-identical across engine thread counts. Stats are reported as
-  // per-call deltas.
-  const CombiningCache::Stats cache_before =
-      cache ? cache->stats() : CombiningCache::Stats{};
   // Dedup index into record->cache_roots: later hits of a group at the same
   // state OR their subtree masks into the root recorded by the first hit.
   std::map<std::pair<uint64_t, uint64_t>, size_t> croot_at;
+  std::vector<CombiningCache::Flushed> flush_buf;
 
+  auto edge_of = [&](uint32_t level, NodeId col, NodeId dest) {
+    uint32_t e = topo.route_edge(level, col, dest);
+    NCC_ASSERT(e < topo.down_degree(level));
+    return e;
+  };
+  auto enqueue = [&](uint64_t idx, uint32_t edge, uint64_t g, const Val& v) {
+    auto [slot, fresh] = core.push(idx, g, v, uint64_t{1} << edge);
+    if (!fresh) {
+      slot->val = combine(slot->val, v);
+      ++result.stats.combines;
+    }
+  };
+
+  // En-route cache bookkeeping (overlay/cache.hpp): all cache traffic runs
+  // here, at the sequential deposit/token merge points, so hits and
+  // evictions are bit-identical across engine thread counts.
   auto deposit = [&](uint32_t level, NodeId col, uint64_t group, const Val& v) {
-    uint64_t idx = topo.index(level, col);
+    const uint64_t idx = topo.index(level, col);
     congestion.visit(topo.overlay_node(level, col), group);
-    group_meta(group);
-    ++progress;
+    const NodeId dest = core.group(group).dest;
+    const uint32_t edge = level == F ? 0 : edge_of(level, col, dest);
     // Serving-side cache hit (tree setup only): the state holds this group's
     // payload, so the request ends here. Snapshot-and-clear the subtree
     // recorded below this state and register it as a cache root; the next
     // Spreading Phase injects the cached payload there instead of descending
     // from the group root. Clearing keeps the recorded tree and the cache
     // root disjoint — the up phase serves every recorded edge exactly once.
-    if (cache && record && level < F) {
-      if (const Val* pv = cache->lookup_payload(idx, group)) {
-        uint64_t mask = 0;
-        if (uint64_t* recorded = record->children[idx].find(group)) {
-          mask = *recorded;
-          *recorded = 0;
-        }
-        auto [dit, fresh_root] = croot_at.emplace(std::make_pair(idx, group),
-                                                  record->cache_roots.size());
-        if (fresh_root) {
-          record->cache_roots.push_back({group, idx, *pv, mask});
-        } else {
-          record->cache_roots[dit->second].mask |= mask;
-        }
-        if (flows)
-          flows->record_hop(
-              group, /*up=*/false, level,
-              topo.route_edge(level, col, group_meta(group).first),
-              topo.host(col), net.rounds(), /*cache_hit=*/true);
-        return;
-      }
-    }
+    const Val* pv = cache && record && level < F ? cache->lookup_payload(idx, group) : nullptr;
     if (flows)
-      flows->record_hop(
-          group, /*up=*/false, level,
-          level == F ? 0 : topo.route_edge(level, col, group_meta(group).first),
-          topo.host(col), net.rounds());
+      flows->record_hop(group, /*up=*/false, level, edge, topo.host(col), net.rounds(),
+                        /*cache_hit=*/pv != nullptr);
+    if (pv) {
+      uint64_t mask = 0;
+      if (uint64_t* recorded = record->children[idx].find(group)) {
+        mask = *recorded;
+        *recorded = 0;
+      }
+      auto [dit, fresh_root] =
+          croot_at.emplace(std::make_pair(idx, group), record->cache_roots.size());
+      if (fresh_root) {
+        record->cache_roots.push_back({group, idx, *pv, mask});
+      } else {
+        record->cache_roots[dit->second].mask |= mask;
+      }
+      return;
+    }
     if (level == F) {
       // A reliable network never misroutes (the destination-driven descent
       // ends at the group's root column), so there a mismatch is still a hard
       // routing-invariant violation; under byzantine corruption a rewritten
       // group id can land a packet at a foreign root on its last hop — then
       // it is network behaviour: count it and drop, don't abort.
-      if (group_meta(group).first != col) {
-        NCC_ASSERT_MSG(net.corruption_possible(),
-                       "packet misrouted on a reliable network");
+      if (dest != col) {
+        NCC_ASSERT_MSG(net.corruption_possible(), "packet misrouted on a reliable network");
         ++result.stats.misrouted;
         return;
       }
@@ -269,43 +503,31 @@ DownResult route_down(const Overlay& topo, Network& net,
     }
     // Absorber-side caching (pure aggregation descent): a repeat packet of a
     // group whose earlier packet already departed parks in the armed
-    // absorber instead of climbing separately; its mass re-enters the
-    // pending queue at this state's token-completion transition.
-    if (cache && !record && level >= 1) {
-      if (Val* queued = pending[idx].find(group)) {
-        *queued = combine(*queued, v);
-        ++result.stats.combines;
-        active.add(idx);
-        return;
-      }
+    // absorber instead of climbing separately; its mass re-enters the queue
+    // at this state's token-completion transition. A packet whose group is
+    // still queued here just combines.
+    if (cache && !record && level >= 1 && !core.queue[idx].find(group)) {
       if (cache->absorb(idx, group, v, combine)) return;
-      pending[idx].emplace(group, v);
-      ++pending_total;
-      active.add(idx);
+      enqueue(idx, edge, group, v);
       // Arm only while more packets can still arrive (tokens incomplete): an
       // absorber armed after the flush transition would never drain.
-      if (!token_ready(idx)) {
-        CombiningCache::Flushed ev;
-        if (cache->arm_absorber(idx, group, &ev)) {
-          auto [slot, fresh] = pending[idx].emplace(ev.group, ev.val);
-          if (fresh) {
-            ++pending_total;
-          } else {
-            *slot = combine(*slot, ev.val);
-            ++result.stats.combines;
-          }
-        }
-      }
+      CombiningCache::Flushed ev;
+      if (!core.token_ready(idx) && cache->arm_absorber(idx, group, &ev))
+        enqueue(idx, edge_of(level, col, core.group(ev.group).dest), ev.group, ev.val);
       return;
     }
-    auto [slot, fresh] = pending[idx].emplace(group, v);
-    if (fresh) {
-      ++pending_total;
-    } else {
-      *slot = combine(*slot, v);
-      ++result.stats.combines;
-    }
-    active.add(idx);
+    enqueue(idx, edge, group, v);
+  };
+  // Token completion is the absorber drain point: every value parked at the
+  // state re-enters its queue here, exactly once, so aggregates stay exact.
+  auto flush = [&](uint64_t idx) {
+    if (!cache || record) return;
+    const uint32_t level = static_cast<uint32_t>(idx / cols);
+    const NodeId col = static_cast<NodeId>(idx % cols);
+    flush_buf.clear();
+    cache->flush_absorbers(idx, &flush_buf);
+    for (const CombiningCache::Flushed& f : flush_buf)
+      enqueue(idx, edge_of(level, col, core.group(f.group).dest), f.group, f.val);
   };
 
   // Initialize the tree record before the first deposits: the serving-hit
@@ -314,233 +536,14 @@ DownResult route_down(const Overlay& topo, Network& net,
     record->levels = topo.levels();
     record->children.assign(topo.node_count(), {});
   }
-
   for (NodeId c = 0; c < cols; ++c)
     for (const AggPacket& p : at_col[c]) deposit(0, c, p.group, p.val);
   at_col.clear();
 
-  uint64_t tokens_pending = 0;
-  for (uint32_t l = 0; l < F; ++l)
-    tokens_pending += static_cast<uint64_t>(topo.down_degree(l)) * cols;
-  for (NodeId c = 0; c < cols; ++c) active.add(topo.index(0, c));
-
-  struct LocalMove {
-    uint32_t level;  // destination level
-    NodeId col;
-    uint64_t group;
-    Val val;
-    bool is_token;
-    uint32_t edge = 0;  // token in-edge index
-  };
-  std::vector<LocalMove> local;
-
-  // The per-round step loop runs shard-parallel over the active routing
-  // states: each item only mutates its own pending queue / token state, and
-  // every cross-node effect (sends, straight-edge moves, tree recording,
-  // counters, re-activation) is staged per shard and merged in shard order —
-  // which restores the sequential iteration order exactly.
-  struct RecordOp {
-    uint64_t cidx;
-    uint64_t group;
-    uint64_t bit;
-  };
-  struct StepOut {
-    std::vector<Message> sends;
-    std::vector<LocalMove> local;
-    std::vector<RecordOp> rec;
-    std::vector<uint64_t> readd;
-    uint64_t moved = 0, freed = 0, tokens = 0;
-  };
-  std::vector<StepOut> outs(engine_shards(net));
-  std::vector<std::vector<LocalMove>> arrivals(engine_shards(net));
-  std::vector<uint64_t> items;
-  std::vector<CombiningCache::Flushed> flush_buf;
-
-  bool first_round = true;
-  while (pending_total > 0 || tokens_pending > 0) {
-    // Stall heartbeat: the previous round delivered and moved nothing (only
-    // possible when fault injection ate every in-flight message), so re-send
-    // every already-launched token before stepping.
-    if (!first_round && progress == 0) {
-      result.stats.token_resends += resend_sent_tokens(
-          token_sent, [&](uint64_t idx, uint32_t e) {
-            uint32_t level = static_cast<uint32_t>(idx / cols);
-            NodeId col = static_cast<NodeId>(idx % cols);
-            NodeId ncol = topo.down_column(level, col, e);
-            net.send(topo.host(col), topo.host(ncol), kTagDownToken | (level + 1), {e});
-          });
-    }
-    first_round = false;
-    progress = 0;
-
-    items = active.take();
-    engine_ranges(net, items.size(), [&](uint32_t s, uint64_t ib, uint64_t ie) {
-      StepOut& out = outs[s];  // drained and cleared by the merge below
-      // Per-edge contention scratch, hoisted out of the item loop: only the
-      // first `deg` entries are live per item (2 on the bit-fixing overlays),
-      // so resetting `found` beats zero-initializing the whole 62-slot array
-      // on the router's hottest path.
-      std::array<EdgeBest, kMaxDegree> best;
-      for (uint64_t ii = ib; ii < ie; ++ii) {
-        uint64_t idx = items[ii];
-        uint32_t level = static_cast<uint32_t>(idx / cols);
-        NodeId col = static_cast<NodeId>(idx % cols);
-        NCC_ASSERT(level < F);  // final-level nodes never enqueue work
-        const uint32_t deg = topo.down_degree(level);
-        auto& pq = pending[idx];
-        uint64_t edge_used = 0, edge_wanted = 0;
-        for (uint32_t e = 0; e < deg; ++e) best[e].found = false;
-        pq.for_each([&](uint64_t g, const Val&) {
-          uint32_t e = topo.route_edge(level, col, meta_of(g).first);
-          NCC_ASSERT(e < deg);
-          edge_wanted |= uint64_t{1} << e;
-          Prio p{meta_of(g).second, g};
-          if (!best[e].found || p < best[e].best) {
-            best[e] = {true, p, g};
-          }
-        });
-        for (uint32_t e = 0; e < deg; ++e) {
-          if (!best[e].found) continue;
-          edge_used |= uint64_t{1} << e;
-          uint64_t g = best[e].group;
-          Val v = *pq.find(g);
-          pq.erase(g);
-          ++out.freed;
-          ++out.moved;
-          NodeId ncol = topo.down_column(level, col, e);
-          if (record) {
-            // Record the reverse (up) edge at the child for the multicast
-            // tree. The child may belong to another shard, so stage the op.
-            uint64_t cidx = topo.index(level + 1, ncol);
-            out.rec.push_back({cidx, g, uint64_t{1} << e});
-          }
-          if (e == 0) {
-            out.local.push_back({level + 1, ncol, g, v, false});
-          } else {
-            out.sends.push_back(Message(topo.host(col), topo.host(ncol),
-                                        kTagDownPacket | (level + 1), {g, v[0], v[1]}));
-          }
-        }
-        // A packet remaining at the node means another packet of its group
-        // may still arrive and combine; the token waits for the edge to clear.
-        if (token_ready(idx)) {
-          for (uint32_t e = 0; e < deg; ++e) {
-            uint64_t bit = uint64_t{1} << e;
-            if ((edge_used | edge_wanted | token_sent[idx]) & bit) continue;
-            token_sent[idx] |= bit;
-            ++out.tokens;
-            NodeId ncol = topo.down_column(level, col, e);
-            if (e == 0) {
-              out.local.push_back({level + 1, ncol, 0, {}, true, 0});
-            } else {
-              out.sends.push_back(Message(topo.host(col), topo.host(ncol),
-                                          kTagDownToken | (level + 1), {e}));
-            }
-          }
-        }
-        if (!pq.empty() || (token_ready(idx) && token_sent[idx] != full_mask(level)))
-          out.readd.push_back(idx);
-      }
-    });
-    local.clear();
-    for (StepOut& out : outs) {
-      net.send_bulk(out.sends);
-      local.insert(local.end(), out.local.begin(), out.local.end());
-      if (record)
-        for (const RecordOp& op : out.rec) record->children[op.cidx][op.group] |= op.bit;
-      for (uint64_t idx : out.readd) active.add(idx);
-      result.stats.packets_moved += out.moved;
-      progress += out.moved + out.tokens;
-      pending_total -= out.freed;
-      tokens_pending -= out.tokens;
-      out.sends.clear();
-      out.local.clear();
-      out.rec.clear();
-      out.readd.clear();
-      out.moved = out.freed = out.tokens = 0;
-    }
-
-    net.end_round();
-    ++result.stats.rounds;
-
-    auto arrive_token = [&](uint32_t level, NodeId col, uint32_t edge) {
-      if (level == F) return;  // final-level tokens terminate here
-      uint64_t idx = topo.index(level, col);
-      uint64_t bit = uint64_t{1} << edge;
-      if (!(tokens_recv[idx] & bit)) {
-        tokens_recv[idx] |= bit;
-        ++progress;
-        // Token completion is the absorber drain point: every value parked
-        // at this state re-enters the pending queue here, exactly once, so
-        // aggregates stay exact. Runs at the sequential merge, like deposits.
-        if (cache && !record && token_ready(idx)) {
-          flush_buf.clear();
-          cache->flush_absorbers(idx, &flush_buf);
-          for (const CombiningCache::Flushed& f : flush_buf) {
-            auto [slot, fresh] = pending[idx].emplace(f.group, f.val);
-            if (fresh) {
-              ++pending_total;
-            } else {
-              *slot = combine(*slot, f.val);
-              ++result.stats.combines;
-            }
-            active.add(idx);
-          }
-        }
-      }
-      if (token_ready(idx) && token_sent[idx] != full_mask(level)) active.add(idx);
-    };
-    for (const LocalMove& mv : local) {
-      if (mv.is_token) {
-        arrive_token(mv.level, mv.col, mv.edge);
-      } else {
-        deposit(mv.level, mv.col, mv.group, mv.val);
-      }
-    }
-    // Arrival scan, sharded over host columns: each shard decodes its
-    // columns' inboxes into staged arrival records; the merge applies them
-    // in shard order, which concatenates back to the sequential
-    // column-ascending scan order — deposits (which touch shared routing
-    // state) stay on the caller thread and bit-identical for any shard count.
-    engine_ranges(net, cols, [&](uint32_t s, uint64_t ub, uint64_t ue) {
-      std::vector<LocalMove>& arr = arrivals[s];
-      for (uint64_t u = ub; u < ue; ++u) {
-        for (const Message& m : net.inbox(static_cast<NodeId>(u))) {
-          if (tag_kind(m.tag) == kTagDownPacket) {
-            arr.push_back({tag_level(m.tag), static_cast<NodeId>(u), m.word(0),
-                           Val{m.word(1), m.word(2)}, false, 0});
-          } else if (tag_kind(m.tag) == kTagDownToken) {
-            // The in-edge is derived from the transport framing (src and dst
-            // are network truth), never from the payload: a byzantine mutation
-            // of the payload cannot poison the in-edge bitmask.
-            uint32_t level = tag_level(m.tag);
-            uint32_t e = topo.edge_from_delta(
-                level - 1, static_cast<NodeId>(u) ^ m.src);
-            arr.push_back({level, static_cast<NodeId>(u), 0, {}, true, e});
-          }
-        }
-      }
-    });
-    for (auto& arr : arrivals) {
-      for (const LocalMove& mv : arr) {
-        if (mv.is_token) {
-          arrive_token(mv.level, mv.col, mv.edge);
-        } else {
-          deposit(mv.level, mv.col, mv.group, mv.val);
-        }
-      }
-      arr.clear();
-    }
-  }
+  core.run(deposit, flush);
 
   result.stats.congestion = congestion.max();
   if (record) record->congestion = congestion.max();
-  if (cache) {
-    const CombiningCache::Stats& cs = cache->stats();
-    result.stats.cache_hits = cs.hits - cache_before.hits;
-    result.stats.cache_misses = cs.misses - cache_before.misses;
-    result.stats.cache_evictions = cs.evictions - cache_before.evictions;
-  }
   return result;
 }
 
@@ -555,47 +558,17 @@ UpResult route_up(const Overlay& topo, Network& net, const MulticastTrees& trees
   const NodeId cols = topo.columns();
   NCC_ASSERT(trees.levels == topo.levels());
   NCC_ASSERT(trees.children.size() == topo.node_count());
-  for (uint32_t l = 0; l < F; ++l) NCC_ASSERT(topo.down_degree(l) <= kMaxDegree);
 
   UpResult result;
   result.at_col.assign(cols, {});
+  TokenDrain<Up> core{topo, net, result.stats, rank, nullptr, nullptr, cache};
 
-  // Populated on arrive() — always sequential — so the parallel step loop
-  // reads a frozen map.
-  FlatMap<uint64_t> rank_cache;
-  auto group_rank = [&](uint64_t g) {
-    auto [slot, fresh] = rank_cache.emplace(g, 0);
-    if (fresh) *slot = rank(g);
-    return *slot;
-  };
-  auto rank_of = [&](uint64_t g) {
-    const uint64_t* slot = rank_cache.find(g);
-    NCC_ASSERT(slot != nullptr);
-    return *slot;
-  };
-
-  // Per routing state: groups being served and the mask of remaining
-  // recorded up-edges (bit e = reverse of down-edge e of the level below).
-  struct Serving {
-    Val val;
-    uint64_t mask;
-  };
-  std::vector<FlatMap<Serving>> serving(topo.node_count());
-  uint64_t edges_remaining = 0;
-  ActiveSet active(topo.node_count());
-  uint64_t progress = 0;
-
-  // Per-call cache stats delta, as in route_down.
-  const CombiningCache::Stats cache_before =
-      cache ? cache->stats() : CombiningCache::Stats{};
-
+  // A state serves each group along the remaining recorded up-edges of its
+  // entry (bit e = reverse of down-edge e of the level below).
   auto arrive = [&](uint32_t level, NodeId col, uint64_t group, const Val& v) {
-    uint64_t idx = topo.index(level, col);
-    group_rank(group);
-    ++progress;
-    if (flows)
-      flows->record_hop(group, /*up=*/true, level, 0, topo.host(col),
-                        net.rounds());
+    const uint64_t idx = topo.index(level, col);
+    core.group(group);
+    if (flows) flows->record_hop(group, /*up=*/true, level, 0, topo.host(col), net.rounds());
     if (level == 0) {
       // Admission point: every state the payload passes (leaves included)
       // caches it, so a later wave's setup request can terminate here.
@@ -616,7 +589,7 @@ UpResult route_up(const Overlay& topo, Network& net, const MulticastTrees& trees
       ++result.stats.misrouted;
       return;
     }
-    if (!serving[idx].emplace(group, Serving{v, *mask}).second) {
+    if (!core.push(idx, group, v, *mask).second) {
       // Duplicate arrival for a group already being served at this node:
       // same story — only a corrupted group id can collide like this.
       NCC_ASSERT_MSG(net.corruption_possible(),
@@ -625,8 +598,6 @@ UpResult route_up(const Overlay& topo, Network& net, const MulticastTrees& trees
       return;
     }
     if (cache) cache->admit_payload(idx, group, v);  // same admission point
-    edges_remaining += std::popcount(*mask);
-    active.add(idx);
   };
 
   // Slot order — deterministic and thread-invariant because the caller
@@ -649,219 +620,29 @@ UpResult route_up(const Overlay& topo, Network& net, const MulticastTrees& trees
   // served twice. Level-0 roots are leaf-local hits — delivered straight to
   // the column, zero routing messages.
   for (const MulticastTrees::CacheRoot& cr : trees.cache_roots) {
-    uint32_t level = static_cast<uint32_t>(cr.idx / cols);
-    NodeId col = static_cast<NodeId>(cr.idx % cols);
-    group_rank(cr.group);
-    ++progress;
+    const uint32_t level = static_cast<uint32_t>(cr.idx / cols);
+    const NodeId col = static_cast<NodeId>(cr.idx % cols);
+    core.group(cr.group);
     if (flows)
-      flows->record_hop(cr.group, /*up=*/true, level, 0, topo.host(col),
-                        net.rounds(), /*cache_hit=*/true);
+      flows->record_hop(cr.group, /*up=*/true, level, 0, topo.host(col), net.rounds(),
+                        /*cache_hit=*/true);
     if (cache) cache->admit_payload(cr.idx, cr.group, cr.val);  // refresh
     if (level == 0) {
       result.at_col[col].push_back({cr.group, cr.val});
       continue;
     }
     if (cr.mask == 0) continue;  // nothing recorded below this state
-    if (!serving[cr.idx].emplace(cr.group, Serving{cr.val, cr.mask}).second) {
+    if (!core.push(cr.idx, cr.group, cr.val, cr.mask).second) {
       // Roots are deduplicated per (idx, group) at record time, so a
       // collision means a corrupted id — count it, don't abort (the same
       // contract as arrive()).
       NCC_ASSERT_MSG(net.corruption_possible(),
                      "duplicate cache-root injection on a reliable network");
       ++result.stats.misrouted;
-      continue;
-    }
-    edges_remaining += std::popcount(cr.mask);
-    active.add(cr.idx);
-  }
-
-  // Tokens flow F -> 0, one per (node, reversed down-edge); a node at level l
-  // has down_degree(l-1) up-edges out and down_degree(l) token in-edges (from
-  // level l+1). Final-level nodes are ready immediately. Same idempotent
-  // bitmask bookkeeping as route_down.
-  std::vector<uint64_t> tokens_recv(topo.node_count(), 0);
-  std::vector<uint64_t> token_sent(topo.node_count(), 0);
-  auto full_mask = [&](uint32_t level) -> uint64_t {
-    return (uint64_t{1} << topo.down_degree(level)) - 1;
-  };
-  auto token_ready = [&](uint32_t level, uint64_t idx) {
-    return level == F || tokens_recv[idx] == full_mask(level);
-  };
-  uint64_t tokens_pending = 0;
-  for (uint32_t l = 1; l <= F; ++l)
-    tokens_pending += static_cast<uint64_t>(topo.down_degree(l - 1)) * cols;
-  for (NodeId c = 0; c < cols; ++c) active.add(topo.index(F, c));
-
-  struct LocalMove {
-    uint32_t level;  // destination level
-    NodeId col;
-    uint64_t group;
-    Val val;
-    bool is_token;
-    uint32_t edge = 0;
-  };
-  std::vector<LocalMove> local;
-
-  // Shard-parallel step loop; same staging/merge discipline as route_down.
-  struct StepOut {
-    std::vector<Message> sends;
-    std::vector<LocalMove> local;
-    std::vector<uint64_t> readd;
-    uint64_t moved = 0, freed = 0, tokens = 0;
-  };
-  std::vector<StepOut> outs(engine_shards(net));
-  std::vector<std::vector<LocalMove>> arrivals(engine_shards(net));
-  std::vector<uint64_t> items;
-
-  bool first_round = true;
-  while (edges_remaining > 0 || tokens_pending > 0) {
-    if (!first_round && progress == 0) {
-      result.stats.token_resends += resend_sent_tokens(
-          token_sent, [&](uint64_t idx, uint32_t e) {
-            uint32_t level = static_cast<uint32_t>(idx / cols);
-            NodeId col = static_cast<NodeId>(idx % cols);
-            NodeId ncol = topo.up_column(level, col, e);
-            net.send(topo.host(col), topo.host(ncol), kTagUpToken | (level - 1), {e});
-          });
-    }
-    first_round = false;
-    progress = 0;
-
-    items = active.take();
-    engine_ranges(net, items.size(), [&](uint32_t s, uint64_t ib, uint64_t ie) {
-      StepOut& out = outs[s];  // drained and cleared by the merge below
-      // Same hoisted per-edge scratch as route_down's step loop.
-      std::array<EdgeBest, kMaxDegree> best;
-      for (uint64_t ii = ib; ii < ie; ++ii) {
-        uint64_t idx = items[ii];
-        uint32_t level = static_cast<uint32_t>(idx / cols);
-        NodeId col = static_cast<NodeId>(idx % cols);
-        NCC_ASSERT(level >= 1);  // level-0 nodes never enqueue up-work
-        const uint32_t deg = topo.down_degree(level - 1);
-        auto& sv = serving[idx];
-        uint64_t edge_used = 0, edge_wanted = 0;
-        for (uint32_t e = 0; e < deg; ++e) best[e].found = false;
-        sv.for_each([&](uint64_t g, const Serving& srv) {
-          Prio p{rank_of(g), g};
-          uint64_t mask = srv.mask;
-          while (mask) {
-            uint32_t e = static_cast<uint32_t>(std::countr_zero(mask));
-            mask &= mask - 1;
-            edge_wanted |= uint64_t{1} << e;
-            if (!best[e].found || p < best[e].best) best[e] = {true, p, g};
-          }
-        });
-        for (uint32_t e = 0; e < deg; ++e) {
-          if (!best[e].found) continue;
-          edge_used |= uint64_t{1} << e;
-          Serving* sit = sv.find(best[e].group);
-          Val v = sit->val;
-          sit->mask &= ~(uint64_t{1} << e);
-          if (sit->mask == 0) sv.erase(best[e].group);
-          ++out.freed;
-          ++out.moved;
-          NodeId ncol = topo.up_column(level, col, e);
-          if (e == 0) {
-            out.local.push_back({level - 1, ncol, best[e].group, v, false});
-          } else {
-            out.sends.push_back(Message(topo.host(col), topo.host(ncol),
-                                        kTagUpPacket | (level - 1),
-                                        {best[e].group, v[0], v[1]}));
-          }
-        }
-        if (token_ready(level, idx)) {
-          for (uint32_t e = 0; e < deg; ++e) {
-            uint64_t bit = uint64_t{1} << e;
-            if ((edge_used | edge_wanted | token_sent[idx]) & bit) continue;
-            token_sent[idx] |= bit;
-            ++out.tokens;
-            NodeId ncol = topo.up_column(level, col, e);
-            if (e == 0) {
-              out.local.push_back({level - 1, ncol, 0, {}, true, 0});
-            } else {
-              out.sends.push_back(Message(topo.host(col), topo.host(ncol),
-                                          kTagUpToken | (level - 1), {e}));
-            }
-          }
-        }
-        if (!sv.empty() ||
-            (token_ready(level, idx) && token_sent[idx] != full_mask(level - 1)))
-          out.readd.push_back(idx);
-      }
-    });
-    local.clear();
-    for (StepOut& out : outs) {
-      net.send_bulk(out.sends);
-      local.insert(local.end(), out.local.begin(), out.local.end());
-      for (uint64_t idx : out.readd) active.add(idx);
-      result.stats.packets_moved += out.moved;
-      progress += out.moved + out.tokens;
-      edges_remaining -= out.freed;
-      tokens_pending -= out.tokens;
-      out.sends.clear();
-      out.local.clear();
-      out.readd.clear();
-      out.moved = out.freed = out.tokens = 0;
-    }
-
-    net.end_round();
-    ++result.stats.rounds;
-
-    auto arrive_token = [&](uint32_t level, NodeId col, uint32_t edge) {
-      if (level == 0) return;  // level-0 tokens terminate here
-      uint64_t idx = topo.index(level, col);
-      uint64_t bit = uint64_t{1} << edge;
-      if (!(tokens_recv[idx] & bit)) {
-        tokens_recv[idx] |= bit;
-        ++progress;
-      }
-      if (token_ready(level, idx) && token_sent[idx] != full_mask(level - 1))
-        active.add(idx);
-    };
-    for (const LocalMove& mv : local) {
-      if (mv.is_token) {
-        arrive_token(mv.level, mv.col, mv.edge);
-      } else {
-        arrive(mv.level, mv.col, mv.group, mv.val);
-      }
-    }
-    // Sharded arrival scan; same decode/merge discipline as route_down.
-    engine_ranges(net, cols, [&](uint32_t s, uint64_t ub, uint64_t ue) {
-      std::vector<LocalMove>& arr = arrivals[s];
-      for (uint64_t u = ub; u < ue; ++u) {
-        for (const Message& m : net.inbox(static_cast<NodeId>(u))) {
-          if (tag_kind(m.tag) == kTagUpPacket) {
-            arr.push_back({tag_level(m.tag), static_cast<NodeId>(u), m.word(0),
-                           Val{m.word(1), m.word(2)}, false, 0});
-          } else if (tag_kind(m.tag) == kTagUpToken) {
-            // In-edge derived from framing, as in route_down; an up token
-            // into level l crosses a generator of level l's down-edge set.
-            uint32_t level = tag_level(m.tag);
-            uint32_t e = topo.edge_from_delta(
-                level, static_cast<NodeId>(u) ^ m.src);
-            arr.push_back({level, static_cast<NodeId>(u), 0, {}, true, e});
-          }
-        }
-      }
-    });
-    for (auto& arr : arrivals) {
-      for (const LocalMove& mv : arr) {
-        if (mv.is_token) {
-          arrive_token(mv.level, mv.col, mv.edge);
-        } else {
-          arrive(mv.level, mv.col, mv.group, mv.val);
-        }
-      }
-      arr.clear();
     }
   }
 
-  if (cache) {
-    const CombiningCache::Stats& cs = cache->stats();
-    result.stats.cache_hits = cs.hits - cache_before.hits;
-    result.stats.cache_misses = cs.misses - cache_before.misses;
-    result.stats.cache_evictions = cs.evictions - cache_before.evictions;
-  }
+  core.run(arrive, [](uint64_t) {});
   return result;
 }
 

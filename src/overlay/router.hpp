@@ -1,7 +1,7 @@
 // Combining random-rank routing on an emulated overlay (Appendix B,
 // generalized from the butterfly to any Overlay).
 //
-// Two engines:
+// One token-drain core, run in two directions:
 //  * `route_down` — the Combining Phase of the Aggregation Algorithm: packets
 //    labeled with an aggregation-group id start at level-0 overlay nodes and
 //    follow the overlay's greedy route to the group's intermediate target
@@ -14,17 +14,21 @@
 //  * `route_up` — the Spreading Phase of the Multicast Algorithm: packets
 //    start at tree roots (final level) and are copied upward along the
 //    recorded tree edges under the same per-edge/rank contention rule.
+// Only what a packet arrival does (deposit and combine going down; serve the
+// recorded subtree going up) and the cache hooks differ between the two; the
+// contention, token and heartbeat logic is shared.
 //
 // Termination detection is simulated faithfully with the paper's token
 // scheme: tokens trail the packets down (or up) the overlay and a node
 // forwards its token on an edge only once it can never send another packet
-// on that edge; the engines run until the tokens drain, so the reported round
-// counts include the detection overhead. Tokens carry their in-edge index and
-// receivers track arrivals as a per-edge bitmask, which makes token delivery
-// idempotent: on rounds where the routing makes no progress at all (possible
-// only under fault injection — a reliable network moves a packet or token
-// every round), nodes re-send the tokens they already launched, so a healed
-// partition or a lossy link stalls the drain instead of jamming it forever.
+// on that edge; both directions run until the tokens drain, so the reported
+// round counts include the detection overhead. Tokens carry their in-edge
+// index and receivers track arrivals as a per-edge bitmask, which makes token
+// delivery idempotent: on rounds where the routing makes no progress at all
+// (possible only under fault injection — a reliable network moves a packet or
+// token every round), nodes re-send the tokens they already launched, so a
+// healed partition or a lossy link stalls the drain instead of jamming it
+// forever.
 #pragma once
 
 #include <array>
@@ -95,7 +99,7 @@ struct MulticastTrees {
 };
 
 struct RouteStats {
-  uint64_t rounds = 0;       // NCC rounds consumed by this engine run
+  uint64_t rounds = 0;       // NCC rounds consumed by this call
   uint32_t congestion = 0;   // max distinct groups visiting one overlay node
   uint64_t packets_moved = 0;
   uint64_t combines = 0;
