@@ -46,8 +46,8 @@ void fill_profiles(RunOut* out, const Network& net, const Engine& eng) {
     out->merge_ms += static_cast<double>(tm.merge_ns) / 1e6;
     out->deliver_ms += static_cast<double>(tm.deliver_ns) / 1e6;
   }
-  out->peak_bytes = mem_peak_bytes(net, &eng);
-  out->allocs = mem_allocs(net, &eng);
+  out->peak_bytes = mem_peak_bytes(net);
+  out->allocs = mem_allocs(net);
 }
 
 /// The JSON tail shared by every row: throughput, the memory columns, and
@@ -103,7 +103,7 @@ RunOut run_bfs_bench(const Graph& g, uint32_t threads) {
     out.checksum = fold(out.checksum, res.dist[u]);
     out.checksum = fold(out.checksum, res.parent[u]);
   }
-  fill_profiles(&out, p.net, *p.engine);
+  fill_profiles(&out, p.net, p.engine);
   return out;
 }
 
@@ -118,7 +118,7 @@ RunOut run_mis_bench(const Graph& g, uint32_t threads) {
   out.checksum = stats_checksum(p.net.stats());
   for (NodeId u = 0; u < g.n(); ++u)
     out.checksum = fold(out.checksum, res.in_mis[u] ? 1 : 0);
-  fill_profiles(&out, p.net, *p.engine);
+  fill_profiles(&out, p.net, p.engine);
   return out;
 }
 

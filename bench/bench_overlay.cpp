@@ -69,8 +69,7 @@ Row run_aggregation_workload(OverlayKind kind, NodeId n, uint32_t threads) {
   AggregationResult res = run_aggregation(shared, net, prob, 1);
   NCC_ASSERT_MSG(res.at_target.size() == groups, "aggregation lost groups");
   return {net.stats().rounds, net.stats().messages_sent, timer.ms(),
-          res.route.congestion, mem_peak_bytes(net, engine.get()),
-          mem_allocs(net, engine.get())};
+          res.route.congestion, mem_peak_bytes(net), mem_allocs(net)};
 }
 
 Row run_multicast_workload(OverlayKind kind, NodeId n, uint32_t threads) {
@@ -90,8 +89,7 @@ Row run_multicast_workload(OverlayKind kind, NodeId n, uint32_t threads) {
   for (NodeId u = 0; u < n; ++u) delivered += !res.received[u].empty();
   NCC_ASSERT_MSG(delivered == n, "multicast missed members");
   return {net.stats().rounds, net.stats().messages_sent, timer.ms(),
-          setup.trees.congestion, mem_peak_bytes(net, engine.get()),
-          mem_allocs(net, engine.get())};
+          setup.trees.congestion, mem_peak_bytes(net), mem_allocs(net)};
 }
 
 Row run_barrier_workload(OverlayKind kind, NodeId n, uint32_t threads) {
@@ -106,7 +104,7 @@ Row run_barrier_workload(OverlayKind kind, NodeId n, uint32_t threads) {
   NCC_ASSERT_MSG(per_barrier == 2ull * topo.agg_steps() + 2,
                  "barrier schedule drifted off the tree depth");
   return {net.stats().rounds, net.stats().messages_sent, timer.ms(), 0,
-          mem_peak_bytes(net, engine.get()), mem_allocs(net, engine.get())};
+          mem_peak_bytes(net), mem_allocs(net)};
 }
 
 }  // namespace

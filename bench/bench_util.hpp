@@ -46,26 +46,23 @@ inline void print_fit(const std::string& label, const std::vector<double>& measu
               label.c_str(), fit.mean_ratio, fit.min_ratio, fit.max_ratio, fit.spread);
 }
 
-/// Orientation + broadcast-tree pipeline used by the Section 5 benches.
-/// A round engine is attached for the whole pipeline lifetime — also at
-/// threads == 1, so the per-shard wall-clock profile (Engine::shard_timing)
-/// exists at every point of a thread sweep; results are bit-identical across
-/// thread counts either way.
+/// Orientation + broadcast-tree pipeline used by the Section 5 benches,
+/// run on a `threads`-thread round engine attached for the whole pipeline
+/// lifetime; results are bit-identical across thread counts.
 struct Pipeline {
   Network net;
-  std::unique_ptr<Engine> engine;
+  Engine engine;
   Shared shared;
   OrientationRunResult orient;
   BroadcastTrees bt;
 
-  // Not movable: the engine holds Network& and an address-keyed registry
-  // entry, so a moved Network would dangle both.
+  // Not movable: the engine holds Network&.
   Pipeline(const Pipeline&) = delete;
   Pipeline& operator=(const Pipeline&) = delete;
 
   Pipeline(const Graph& g, uint64_t seed, uint32_t threads = 1)
       : net(make_net(g.n(), seed)),
-        engine(std::make_unique<Engine>(net, EngineConfig{threads})),
+        engine(net, EngineConfig{threads}),
         shared(g.n(), seed),
         orient(run_orientation(shared, net, g)),
         bt(build_broadcast_trees(shared, net, g, orient.orientation, seed)) {}
@@ -74,11 +71,11 @@ struct Pipeline {
   uint64_t setup_rounds() const { return orient.rounds + bt.rounds; }
 };
 
-/// Attach a round engine to `net` when threads > 1 (results are bit-identical
-/// either way; see the determinism contract). Keep the returned handle alive
-/// for as long as the network runs.
+/// Attach a `threads`-thread round engine to `net` (results are
+/// bit-identical for any thread count; see the determinism contract). Keep
+/// the returned handle alive for as long as the network runs.
 inline std::unique_ptr<Engine> attach_engine(Network& net, uint32_t threads) {
-  return threads > 1 ? std::make_unique<Engine>(net, EngineConfig{threads}) : nullptr;
+  return std::make_unique<Engine>(net, EngineConfig{threads});
 }
 
 /// True when the binary should shrink its sweeps (CI smoke runs).
@@ -113,24 +110,20 @@ inline BenchOpts parse_opts(int argc, char** argv) {
   return o;
 }
 
-/// Peak container bytes of a run: the Network's hot containers plus the
-/// engine's per-shard staged buffers (pass eng = nullptr when no engine was
-/// attached). This is the `peak_bytes` column of the bench JSON rows —
-/// observational (capacities depend on the shard layout), deterministic for a
-/// fixed (workload, n, threads), so bench_compare diffs it exactly.
-inline uint64_t mem_peak_bytes(const Network& net, const Engine* eng) {
-  uint64_t bytes = net.mem_stats().container_bytes_peak;
-  if (eng)
-    for (const EngineShardMemory& m : eng->shard_memory())
-      bytes += m.staged_bytes_peak;
-  return bytes;
+/// Peak container bytes of a run: the Network's hot containers, which
+/// include the pooled arenas the engine stages into. This is the
+/// `peak_bytes` column of the bench JSON rows — observational (capacities
+/// depend on the shard layout), deterministic for a fixed (workload, n,
+/// threads), so bench_compare diffs it exactly.
+inline uint64_t mem_peak_bytes(const Network& net) {
+  return net.mem_stats().container_bytes_peak;
 }
 
-/// Capacity-growth events on the same containers; the `allocs` column.
-inline uint64_t mem_allocs(const Network& net, const Engine* eng) {
+/// Capacity-growth events on the same containers, network and engine
+/// staging; the `allocs` column.
+inline uint64_t mem_allocs(const Network& net) {
   uint64_t allocs = net.mem_stats().allocs;
-  if (eng)
-    for (const EngineShardMemory& m : eng->shard_memory()) allocs += m.allocs;
+  for (const EngineShardMemory& m : net.engine().shard_memory()) allocs += m.allocs;
   return allocs;
 }
 

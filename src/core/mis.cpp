@@ -26,7 +26,7 @@ MisResult run_mis(const Shared& shared, Network& net, const Graph& g,
   // requires — parallel node steps may not share an Rng.
   const uint64_t draw_seed = shared.local_rng(mix64(0x315a9 ^ rng_tag)).next();
 
-  const uint32_t S = engine_shards(net);
+  const uint32_t S = net.engine().threads();
   std::vector<std::vector<NodeId>> parts(S);
   auto collect = [&](std::vector<NodeId>& dst) {
     for (uint32_t s = 0; s < S; ++s) {
@@ -43,7 +43,7 @@ MisResult run_mis(const Shared& shared, Network& net, const Graph& g,
     // Draw r(u) for active nodes; the id suffix makes values distinct, which
     // implements the tie-break of the continuous-[0,1] analysis.
     std::vector<Val> payload(n, Val{0, 0});
-    engine_ranges(net, n, [&](uint32_t s, uint64_t b, uint64_t e) {
+    net.engine().ranges(n, [&](uint32_t s, uint64_t b, uint64_t e) {
       for (NodeId u = static_cast<NodeId>(b); u < static_cast<NodeId>(e); ++u) {
         if (!active[u]) continue;
         uint64_t r = mix64(phase_seed ^ (uint64_t{u} + 1)) >> 24;  // 40 random bits
@@ -58,7 +58,7 @@ MisResult run_mis(const Shared& shared, Network& net, const Graph& g,
                                       mix64(rng_tag ^ (res.phases * 131 + 1)));
     // Join the MIS iff own value beats the minimum among active neighbors
     // (or there is no active neighbor at all).
-    engine_ranges(net, senders.size(), [&](uint32_t s, uint64_t b, uint64_t e) {
+    net.engine().ranges(senders.size(), [&](uint32_t s, uint64_t b, uint64_t e) {
       for (uint64_t i = b; i < e; ++i) {
         NodeId u = senders[i];
         const auto& got = exch.at_node[u];
@@ -75,13 +75,13 @@ MisResult run_mis(const Shared& shared, Network& net, const Graph& g,
     auto knock = neighborhood_exchange(shared, net, bt, joined, payload,
                                        agg::min_by_first,
                                        mix64(rng_tag ^ (res.phases * 131 + 2)));
-    engine_for(net, n, [&](uint64_t ui) {
+    net.engine().for_each(n, [&](uint64_t ui) {
       NodeId u = static_cast<NodeId>(ui);
       if (active[u] && knock.at_node[u].has_value()) active[u] = 0;
     });
     // Termination: any active node left?
     std::vector<std::optional<Val>> inputs(n);
-    engine_for(net, n, [&](uint64_t ui) {
+    net.engine().for_each(n, [&](uint64_t ui) {
       NodeId u = static_cast<NodeId>(ui);
       if (active[u]) inputs[u] = Val{1, 0};
     });

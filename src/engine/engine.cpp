@@ -3,11 +3,6 @@
 #include <algorithm>
 // det-lint: observational — wall-clock feeds span timestamps on the obs side only
 #include <chrono>
-#include <mutex>
-// det-lint: observational — process-local attach registry; never serialized
-#include <unordered_map>
-
-#include "common/assert.hpp"
 
 namespace ncc {
 
@@ -23,33 +18,6 @@ uint64_t now_ns() {
           .count());
 }
 
-std::mutex g_registry_mu;
-// det-lint: observational — process-local attach bookkeeping; the pointer keys
-// never leave the process and the map is never iterated
-std::unordered_map<const Network*, Engine*>& registry() {
-  // det-lint: observational — same process-local attach bookkeeping
-  static std::unordered_map<const Network*, Engine*> reg;
-  return reg;
-}
-
-class ArenaSink final : public MsgSink {
- public:
-  explicit ArenaSink(MsgArena* buf) : buf_(buf) {}
-  void send(const Message& msg) override { buf_->push(msg); }
-
- private:
-  MsgArena* buf_;
-};
-
-class DirectSink final : public MsgSink {
- public:
-  explicit DirectSink(Network* net) : net_(net) {}
-  void send(const Message& msg) override { net_->send(msg); }
-
- private:
-  Network* net_;
-};
-
 }  // namespace
 
 Engine::Engine(Network& net, EngineConfig cfg)
@@ -57,38 +25,10 @@ Engine::Engine(Network& net, EngineConfig cfg)
   arenas_.resize(pool_.threads());
   timing_.resize(pool_.threads());
   memory_.resize(pool_.threads());
-  {
-    std::lock_guard<std::mutex> lk(g_registry_mu);
-    auto [it, fresh] = registry().emplace(&net_, this);
-    NCC_ASSERT_MSG(fresh, "network already has an engine attached");
-    (void)it;
-  }
-  NetExecHooks hooks;
-  hooks.shards = pool_.threads();
-  hooks.min_messages = cfg_.delivery_cutoff;
-  hooks.parallel = [this](uint32_t tasks, const std::function<void(uint32_t)>& fn) {
-    pool_.run(tasks, [this, &fn](uint64_t t) {
-      uint64_t t0 = now_ns();
-      fn(static_cast<uint32_t>(t));
-      EngineShardTiming& tm = timing_[t];
-      tm.deliver_ns += now_ns() - t0;
-      ++tm.deliveries;
-    });
-  };
-  net_.install_exec_hooks(std::move(hooks));
+  net_.attach(this);
 }
 
-Engine::~Engine() {
-  net_.clear_exec_hooks();
-  std::lock_guard<std::mutex> lk(g_registry_mu);
-  registry().erase(&net_);
-}
-
-Engine* Engine::of(const Network& net) {
-  std::lock_guard<std::mutex> lk(g_registry_mu);
-  auto it = registry().find(&net);
-  return it == registry().end() ? nullptr : it->second;
-}
+Engine::~Engine() { net_.detach(); }
 
 void Engine::run_shards(uint32_t shards, const std::function<void(uint32_t)>& fn) {
   pool_.run(shards, [&fn](uint64_t t) { fn(static_cast<uint32_t>(t)); });
@@ -120,7 +60,7 @@ void Engine::send_loop(uint64_t count,
   for (uint32_t s = 0; s < plan.shards; ++s) arenas_[s] = net_.acquire_arena();
   run_shards(plan.shards, [&](uint32_t s) {
     uint64_t t0 = now_ns();
-    ArenaSink sink(&arenas_[s]);
+    MsgSink sink(&arenas_[s]);
     for (uint64_t i = plan.begin(s); i < plan.end(s); ++i) step(i, sink);
     EngineShardTiming& tm = timing_[s];
     tm.stage_ns += now_ns() - t0;
@@ -143,43 +83,19 @@ void Engine::send_loop(uint64_t count,
   }
 }
 
+void Engine::run_delivery(uint32_t tasks, const std::function<void(uint32_t)>& fn) {
+  pool_.run(tasks, [this, &fn](uint64_t t) {
+    uint64_t t0 = now_ns();
+    fn(static_cast<uint32_t>(t));
+    EngineShardTiming& tm = timing_[t];
+    tm.deliver_ns += now_ns() - t0;
+    ++tm.deliveries;
+  });
+}
+
 void Engine::reset_timing() {
   timing_.assign(pool_.threads(), EngineShardTiming{});
   memory_.assign(pool_.threads(), EngineShardMemory{});
-}
-
-uint32_t engine_shards(const Network& net) {
-  Engine* eng = Engine::of(net);
-  return eng ? eng->threads() : 1;
-}
-
-void engine_ranges(const Network& net, uint64_t count,
-                   const std::function<void(uint32_t, uint64_t, uint64_t)>& fn) {
-  if (count == 0) return;
-  if (Engine* eng = Engine::of(net)) {
-    eng->ranges(count, fn);
-  } else {
-    fn(0, 0, count);
-  }
-}
-
-void engine_for(const Network& net, uint64_t count,
-                const std::function<void(uint64_t)>& fn) {
-  if (Engine* eng = Engine::of(net)) {
-    eng->for_each(count, fn);
-  } else {
-    for (uint64_t i = 0; i < count; ++i) fn(i);
-  }
-}
-
-void engine_send_loop(Network& net, uint64_t count,
-                      const std::function<void(uint64_t, MsgSink&)>& step) {
-  if (Engine* eng = Engine::of(net)) {
-    eng->send_loop(count, step);
-  } else {
-    DirectSink sink(&net);
-    for (uint64_t i = 0; i < count; ++i) step(i, sink);
-  }
 }
 
 }  // namespace ncc

@@ -12,10 +12,11 @@
 // loops must be forked per item (Rng::fork / mix64 of the item id), never
 // drawn from a stream shared across items.
 //
-// Attaching an Engine to a Network also installs the network's execution
-// hooks, which parallelize end_round() delivery across destination shards
-// (see net/network.hpp); primitives and algorithms discover the engine via
-// Engine::of(net) and fall back to sequential loops when none is attached.
+// Every Network runs on an Engine: the network owns an inline threads=1
+// engine, and a user-constructed Engine takes its place for as long as it
+// lives. Primitives and algorithms reach the current one through
+// net.engine(); end_round() runs its delivery passes on the same engine's
+// pool (see net/network.hpp). threads=1 is the plain sequential loop.
 #pragma once
 
 #include <cstdint>
@@ -70,22 +71,24 @@ struct EngineConfig {
   uint64_t delivery_cutoff = 1024;
 };
 
-/// Message sink handed to step callbacks: stages into a shard buffer on the
-/// engine path, forwards straight to the network on the sequential fallback.
-/// Both paths produce the same global send order.
+/// Message sink handed to step callbacks: stages into the running shard's
+/// arena, which send_loop hands to the network in shard order.
 class MsgSink {
  public:
-  virtual ~MsgSink() = default;
-  virtual void send(const Message& msg) = 0;
+  explicit MsgSink(MsgArena* arena) : arena_(arena) {}
+  void send(const Message& msg) { arena_->push(msg); }
   void send(NodeId src, NodeId dst, uint32_t tag, std::initializer_list<uint64_t> words) {
     send(Message(src, dst, tag, words));
   }
+
+ private:
+  MsgArena* arena_;
 };
 
 class Engine {
  public:
-  /// Attaches to `net` (installing its exec hooks); at most one engine per
-  /// network at a time.
+  /// Attaches to `net`, replacing its inline engine until this one is
+  /// destroyed; at most one user engine per network at a time.
   explicit Engine(Network& net, EngineConfig cfg = {});
   ~Engine();
 
@@ -94,9 +97,6 @@ class Engine {
 
   Network& net() { return net_; }
   uint32_t threads() const { return pool_.threads(); }
-
-  /// The engine attached to `net`, or nullptr.
-  static Engine* of(const Network& net);
 
   /// Run fn(0..shards-1) on the pool (shards <= threads()).
   void run_shards(uint32_t shards, const std::function<void(uint32_t)>& fn);
@@ -118,6 +118,12 @@ class Engine {
   /// net().end_round().
   void send_loop(uint64_t count, const std::function<void(uint64_t, MsgSink&)>& step);
 
+  /// end_round() delivery: run fn(0..tasks-1) on the pool, timing each task
+  /// into its shard's deliver_ns. Rounds with fewer than delivery_cutoff()
+  /// pending messages deliver single-shard.
+  void run_delivery(uint32_t tasks, const std::function<void(uint32_t)>& fn);
+  uint64_t delivery_cutoff() const { return cfg_.delivery_cutoff; }
+
   /// Per-shard wall-clock profile (one entry per pool thread). Each shard's
   /// stage/deliver slots are only ever written by the worker running that
   /// shard, so reading between rounds is race-free.
@@ -136,15 +142,5 @@ class Engine {
   std::vector<EngineShardTiming> timing_;  // one profile per shard
   std::vector<EngineShardMemory> memory_;  // one memory profile per shard
 };
-
-/// Helpers for primitives/ and core/: route the loop through `net`'s
-/// attached engine when present, run it sequentially otherwise. Either way
-/// the observable effects are identical.
-uint32_t engine_shards(const Network& net);
-void engine_ranges(const Network& net, uint64_t count,
-                   const std::function<void(uint32_t shard, uint64_t begin, uint64_t end)>& fn);
-void engine_for(const Network& net, uint64_t count, const std::function<void(uint64_t)>& fn);
-void engine_send_loop(Network& net, uint64_t count,
-                      const std::function<void(uint64_t, MsgSink&)>& step);
 
 }  // namespace ncc

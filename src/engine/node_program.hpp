@@ -37,8 +37,7 @@ struct ProgramResult {
 };
 
 /// Run `prog` on every node of `net` until done() returns true (or
-/// max_rounds). Uses the attached engine when present; results are identical
-/// either way.
+/// max_rounds), on net.engine(); results are identical for any thread count.
 ProgramResult run_program(Network& net, NodeProgram& prog,
                           uint64_t max_rounds = UINT64_MAX);
 

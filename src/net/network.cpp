@@ -4,6 +4,7 @@
 
 #include "common/bits.hpp"
 #include "common/flat_map.hpp"
+#include "engine/engine.hpp"
 #include "engine/shard.hpp"
 
 namespace ncc {
@@ -16,7 +17,23 @@ Network::Network(NetConfig config)
   send_count_.assign(config_.n, 0);
   inbox_off_.assign(config_.n, 0);
   inbox_cnt_.assign(config_.n, 0);
+  inline_engine_ = std::make_unique<Engine>(*this);
 }
+
+Network::~Network() {
+  NCC_ASSERT_MSG(engine_ == inline_engine_.get(),
+                 "an attached engine must not outlive its network");
+  inline_engine_.reset();  // nulls the pointer before the engine's detach()
+}
+
+void Network::attach(Engine* eng) {
+  // The inline engine attaches during construction, before inline_engine_
+  // is set; afterwards only one user engine at a time may replace it.
+  NCC_ASSERT_MSG(engine_ == inline_engine_.get(), "network already has an engine attached");
+  engine_ = eng;
+}
+
+void Network::detach() { engine_ = inline_engine_.get(); }
 
 MsgArena Network::acquire_arena() {
   if (pool_.empty()) return MsgArena{};
@@ -117,9 +134,12 @@ void Network::end_round() {
   uint32_t rcap = cap_;
   if (faults_.recv_cap) rcap = std::max<uint32_t>(1, faults_.recv_cap(round, cap_));
 
+  // Every delivery pass runs as engine tasks — single-shard rounds too,
+  // where the pool runs the one task inline on the caller thread. That keeps
+  // deliver_ns attribution uniform across thread counts.
+  Engine& eng = *engine_;
   uint32_t S = 1;
-  if (hooks_.parallel && hooks_.shards > 1 && total >= hooks_.min_messages)
-    S = hooks_.shards;
+  if (eng.threads() > 1 && total >= eng.delivery_cutoff()) S = eng.threads();
   ShardPlan nodes = ShardPlan::make(n, S);
   S = nodes.shards;
   ShardPlan chunks = ShardPlan::make(total, S);
@@ -127,18 +147,6 @@ void Network::end_round() {
   if (recv_seen_.size() != n) recv_seen_.assign(n, 0);
   if (wsum_.size() != n) wsum_.assign(n, 0);
   if (word_off_.size() != n) word_off_.assign(n, 0);
-
-  // Delivery runs through the engine's parallel hook whenever one is
-  // installed — including single-shard rounds, where the pool runs the one
-  // task inline on the caller thread. That keeps deliver_ns attribution
-  // uniform across thread counts (the engine times every hook task).
-  auto par = [&](uint32_t tasks, const std::function<void(uint32_t)>& fn) {
-    if (hooks_.parallel) {
-      hooks_.parallel(tasks, fn);
-    } else {
-      for (uint32_t t = 0; t < tasks; ++t) fn(t);
-    }
-  };
 
   // Global send-order offsets of the runs: pending index i lives in run r at
   // local slot i - run_start[r]. Scatter rows and scans walk indices in
@@ -157,7 +165,7 @@ void Network::end_round() {
                    "per-round pending exceeds 32-bit scatter indices");
     scatter_.resize(static_cast<size_t>(chunks.shards) * S);
     std::vector<uint64_t> scatter_allocs(chunks.shards, 0);
-    par(chunks.shards, [&](uint32_t p) {
+    eng.run_delivery(chunks.shards, [&](uint32_t p) {
       for (uint32_t s = 0; s < S; ++s) scatter_[static_cast<size_t>(p) * S + s].clear();
       uint32_t r = 0;
       for (uint64_t i = chunks.begin(p); i < chunks.end(p); ++i) {
@@ -205,7 +213,7 @@ void Network::end_round() {
   // payload-word budget. Overloaded destinations (count > rcap) get fixed
   // rcap * kMaxMessageWords word slots instead of exact sums, so reservoir
   // replacement can overwrite any slot with any payload width.
-  par(S, [&](uint32_t s) {
+  eng.run_delivery(S, [&](uint32_t s) {
     ShardAcc& a = acc[s];
     const NodeId lo = static_cast<NodeId>(nodes.begin(s));
     const NodeId hi = static_cast<NodeId>(nodes.end(s));
@@ -259,7 +267,7 @@ void Network::end_round() {
   // forked per (round, destination), so the surviving subset of an
   // overloaded inbox does not depend on the shard layout or on the traffic
   // at other destinations.
-  par(S, [&](uint32_t s) {
+  eng.run_delivery(S, [&](uint32_t s) {
     const NodeId lo = static_cast<NodeId>(nodes.begin(s));
     const NodeId hi = static_cast<NodeId>(nodes.end(s));
     uint64_t hcur = hdr_base[s];

@@ -12,21 +12,25 @@
 // primitive and algorithm runs real messages through it, and benches report
 // `rounds()`.
 //
-// Delivery at end_round() is shard-parallel when an engine (src/engine/) is
-// attached: destinations are split into contiguous shards, each shard
-// enforces its nodes' receive capacities independently, and the drop RNG is
-// forked per (round, destination) — so inboxes and NetStats are bit-identical
-// for any thread/shard count, including the sequential fallback.
+// Every network runs on an Engine (src/engine/): it owns an inline
+// threads=1 engine, which a user-constructed Engine replaces while it lives.
+// Delivery at end_round() runs on that engine: destinations are split into
+// contiguous shards, each shard enforces its nodes' receive capacities
+// independently, and the drop RNG is forked per (round, destination) — so
+// inboxes and NetStats are bit-identical for any thread/shard count.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "net/message.hpp"
 
 namespace ncc {
+
+class Engine;
 
 struct NetConfig {
   NodeId n = 0;
@@ -128,18 +132,6 @@ class InboxView {
   size_t count_ = 0;
 };
 
-/// Execution hooks installed by an attached engine. The network itself stays
-/// engine-agnostic: `parallel(tasks, fn)` must run fn(0..tasks-1) to
-/// completion (any interleaving — the delivery algorithm is shard-order
-/// independent), `shards` is the preferred shard count.
-struct NetExecHooks {
-  std::function<void(uint32_t, const std::function<void(uint32_t)>&)> parallel;
-  uint32_t shards = 1;
-  /// Rounds with fewer pending messages deliver single-shard (perf knob; the
-  /// delivery result is shard-count independent either way).
-  uint64_t min_messages = 1024;
-};
-
 /// Fault-injection hooks (installed by scenario::FaultInjector). All three run
 /// on the caller thread at the top of end_round(), *before* delivery is
 /// sharded — the pending-message order is thread-count independent (engine
@@ -165,6 +157,11 @@ struct FaultHooks {
 class Network {
  public:
   explicit Network(NetConfig config);
+  ~Network();
+
+  // Not copyable or movable: the engines hold a Network&.
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
 
   NodeId n() const { return config_.n; }
   uint32_t cap() const { return cap_; }
@@ -191,8 +188,8 @@ class Network {
 
   /// Close the current round: enforce capacities, deliver messages into the
   /// per-node inboxes, advance the round counter. Runs shard-parallel across
-  /// destinations when exec hooks are installed; the result is identical
-  /// either way.
+  /// destinations on a multi-threaded engine; the result is identical for
+  /// any thread count.
   void end_round();
 
   /// Inbox of `u` holding the messages delivered at the start of the current
@@ -219,9 +216,9 @@ class Network {
   /// tracing, congestion monitors). Each receives the message and the round
   /// in which it was delivered. Hooks are an ordered subscriber list: every
   /// subscriber sees the identical stream, sequentially in (destination,
-  /// arrival) order — engine or not — and within one message subscribers run
-  /// in subscription order. Subscribers must unsubscribe (remove) before
-  /// they are destroyed.
+  /// arrival) order — for any thread count — and within one message
+  /// subscribers run in subscription order. Subscribers must unsubscribe
+  /// (remove) before they are destroyed.
   using DeliveryHook = std::function<void(const Message&, uint64_t round)>;
   HookId add_delivery_hook(DeliveryHook hook);
   void remove_delivery_hook(HookId id);
@@ -257,12 +254,16 @@ class Network {
   /// clears pending traffic and the per-shard delivery staging.
   void reset_stats();
 
-  /// Engine attachment (see src/engine/engine.hpp).
-  void install_exec_hooks(NetExecHooks hooks) { hooks_ = std::move(hooks); }
-  void clear_exec_hooks() { hooks_ = NetExecHooks{}; }
-  const NetExecHooks& exec_hooks() const { return hooks_; }
+  /// The engine this network runs on: the attached user Engine, else the
+  /// inline threads=1 one.
+  Engine& engine() { return *engine_; }
+  const Engine& engine() const { return *engine_; }
 
  private:
+  friend class Engine;
+  void attach(Engine* eng);  // called by Engine's constructor
+  void detach();  // called by Engine's destructor
+
   template <typename Hook>
   struct Subscriber {
     HookId id;
@@ -274,7 +275,8 @@ class Network {
   uint64_t drop_seed_;  // forked per (round, dst) for the drop subsets
   NetStats stats_;
   NetMemStats mem_;
-  NetExecHooks hooks_;
+  std::unique_ptr<Engine> inline_engine_;
+  Engine* engine_ = nullptr;  // attached user engine, else inline_engine_
   FaultHooks faults_;
   // Pending traffic as an ordered list of sorted runs: direct send()s append
   // to an open tail arena, stage_run() hands over closed per-shard arenas in

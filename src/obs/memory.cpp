@@ -23,17 +23,12 @@ MemoryMonitor::~MemoryMonitor() { net_.remove_round_hook(round_id_); }
 
 uint64_t MemoryMonitor::total_allocs() const {
   uint64_t allocs = net_.mem_stats().allocs;
-  if (Engine* eng = Engine::of(net_))
-    for (const EngineShardMemory& m : eng->shard_memory()) allocs += m.allocs;
+  for (const EngineShardMemory& m : net_.engine().shard_memory()) allocs += m.allocs;
   return allocs;
 }
 
 uint64_t MemoryMonitor::peak_container_bytes() const {
-  uint64_t bytes = net_.mem_stats().container_bytes_peak;
-  if (Engine* eng = Engine::of(net_))
-    for (const EngineShardMemory& m : eng->shard_memory())
-      bytes += m.staged_bytes_peak;
-  return bytes;
+  return net_.mem_stats().container_bytes_peak;
 }
 
 void MemoryMonitor::write_json(JsonWriter& w) const {
@@ -47,16 +42,14 @@ void MemoryMonitor::write_json(JsonWriter& w) const {
   w.kv("peak_bytes", peak_container_bytes());
   w.key("staged");
   w.begin_array();
-  if (Engine* eng = Engine::of(net_)) {
-    for (size_t s = 0; s < eng->shard_memory().size(); ++s) {
-      const EngineShardMemory& m = eng->shard_memory()[s];
-      w.begin_object();
-      w.kv("shard", static_cast<uint64_t>(s));
-      w.kv("msgs_peak", m.staged_msgs_peak);
-      w.kv("bytes_peak", m.staged_bytes_peak);
-      w.kv("allocs", m.allocs);
-      w.end_object();
-    }
+  const std::vector<EngineShardMemory>& staged = net_.engine().shard_memory();
+  for (size_t s = 0; s < staged.size(); ++s) {
+    w.begin_object();
+    w.kv("shard", static_cast<uint64_t>(s));
+    w.kv("msgs_peak", staged[s].staged_msgs_peak);
+    w.kv("bytes_peak", staged[s].staged_bytes_peak);
+    w.kv("allocs", staged[s].allocs);
+    w.end_object();
   }
   w.end_array();
   w.kv("series_truncated", truncated_);

@@ -44,8 +44,9 @@ class MemoryMonitor {
 
   /// Observational: network allocs + engine staged-buffer allocs so far.
   uint64_t total_allocs() const;
-  /// Observational: peak container bytes (network hot containers + engine
-  /// staged buffers), the number bench rows report as `peak_bytes`.
+  /// Observational: peak capacity bytes of the network's hot containers, the
+  /// number bench rows report as `peak_bytes`. The engine stages into arenas
+  /// from the network's pool, so staged buffers are already part of it.
   uint64_t peak_container_bytes() const;
 
   /// Emit the observational `memory` section: NetMemStats, per-shard staged

@@ -47,7 +47,7 @@ struct TraceCell {
   /// Per-wave (round, cumulative cache hits, cumulative cache lookups)
   /// samples; empty unless the run used `cache = lru` (deterministic).
   std::vector<std::array<uint64_t, 3>> cache_series;
-  std::vector<EngineShardTiming> shard_timing;  // empty when no engine attached
+  std::vector<EngineShardTiming> shard_timing;  // one entry per engine thread
 };
 
 /// Trace-time scale: one simulated round rendered as this many microseconds.

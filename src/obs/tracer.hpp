@@ -1,7 +1,7 @@
 // Deterministic phase spans: the first layer of the observability subsystem.
 //
 // A Tracer attaches to a Network (at most one per network, discovered via
-// Tracer::of like Engine::of) and records named, nested spans over the run's
+// Tracer::of) and records named, nested spans over the run's
 // round timeline. A span captures the half-open round interval [begin_round,
 // end_round) it covered plus the NetStats deltas accumulated inside it
 // (messages sent, capacity drops, fault drops, corruptions, charged rounds).

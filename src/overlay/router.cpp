@@ -305,7 +305,7 @@ struct TokenDrain {
   void run(Arrive&& arrive, TokenDone&& token_done) {
     const uint32_t terminal = Dir::terminal(final_level);
     for (NodeId c = 0; c < cols; ++c) active.add(topo.index(Dir::start(final_level), c));
-    std::vector<StepOut> outs(engine_shards(net));
+    std::vector<StepOut> outs(net.engine().threads());
     std::vector<std::vector<Move>> arrivals(outs.size());
     std::vector<Move> local;
     std::vector<uint64_t> items;
@@ -341,7 +341,7 @@ struct TokenDrain {
       // effects in the same order.
       items = active.take();
       for (StepOut& out : outs) out.sends = net.acquire_arena();
-      engine_ranges(net, items.size(), [&](uint32_t s, uint64_t ib, uint64_t ie) {
+      net.engine().ranges(items.size(), [&](uint32_t s, uint64_t ib, uint64_t ie) {
         step(outs[s], items, ib, ie);
       });
       local.clear();
@@ -369,7 +369,7 @@ struct TokenDrain {
       // order, which concatenates back to the sequential column-ascending
       // scan order — so arrivals (which touch shared routing state) stay on
       // the caller thread and bit-identical for any shard count.
-      engine_ranges(net, cols, [&](uint32_t s, uint64_t ub, uint64_t ue) {
+      net.engine().ranges(cols, [&](uint32_t s, uint64_t ub, uint64_t ue) {
         std::vector<Move>& arr = arrivals[s];
         for (uint64_t u = ub; u < ue; ++u) {
           for (const Message& m : net.inbox(static_cast<NodeId>(u))) {

@@ -27,7 +27,7 @@ AbResult aggregate_and_broadcast(const Overlay& topo, Network& net,
   // Round 1: nodes without an overlay column hand their input to their
   // level-0 attachment node. (Run unconditionally: A&B has a fixed round
   // schedule, which is what makes it usable as a barrier.)
-  engine_send_loop(net, n - cols, [&](uint64_t i, MsgSink& out) {
+  net.engine().send_loop(n - cols, [&](uint64_t i, MsgSink& out) {
     NodeId u = cols + static_cast<NodeId>(i);
     if (inputs[u].has_value()) {
       const Val& v = *inputs[u];
@@ -40,7 +40,7 @@ AbResult aggregate_and_broadcast(const Overlay& topo, Network& net,
   // combined with the attached node's input. Per-column state only — safe to
   // scan the inboxes shard-parallel.
   std::vector<std::optional<Val>> cur(cols);
-  engine_for(net, cols, [&](uint64_t ci) {
+  net.engine().for_each(cols, [&](uint64_t ci) {
     NodeId c = static_cast<NodeId>(ci);
     NodeId host = topo.host(c);
     if (inputs[host].has_value()) cur[c] = inputs[host];
@@ -57,7 +57,7 @@ AbResult aggregate_and_broadcast(const Overlay& topo, Network& net,
   // value locally for free.
   for (uint32_t i = 0; i < steps; ++i) {
     std::vector<std::optional<Val>> next(cols);
-    engine_send_loop(net, cols, [&](uint64_t ci, MsgSink& out) {
+    net.engine().send_loop(cols, [&](uint64_t ci, MsgSink& out) {
       NodeId c = static_cast<NodeId>(ci);
       if (!cur[c]) return;
       NodeId nc = topo.agg_parent(i, c);
@@ -69,7 +69,7 @@ AbResult aggregate_and_broadcast(const Overlay& topo, Network& net,
       }
     });
     net.end_round();
-    engine_for(net, cols, [&](uint64_t ci) {
+    net.engine().for_each(cols, [&](uint64_t ci) {
       NodeId c = static_cast<NodeId>(ci);
       for (const Message& m : net.inbox(topo.host(c))) {
         if ((m.tag & 0xff00u) != kTagAggStep) continue;
@@ -102,7 +102,7 @@ AbResult aggregate_and_broadcast(const Overlay& topo, Network& net,
   std::vector<NodeId> parent(cols);
   for (uint32_t b = 0; b < steps; ++b) {
     uint32_t i = steps - 1 - b;  // merge step being reversed
-    engine_send_loop(net, cols, [&](uint64_t ci, MsgSink& out) {
+    net.engine().send_loop(cols, [&](uint64_t ci, MsgSink& out) {
       NodeId c = static_cast<NodeId>(ci);
       NodeId p = topo.agg_parent(i, c);
       parent[c] = p;
@@ -110,7 +110,7 @@ AbResult aggregate_and_broadcast(const Overlay& topo, Network& net,
         out.send(topo.host(p), topo.host(c), kTagBcastStep | b, {v[0], v[1]});
     });
     net.end_round();
-    engine_for(net, cols, [&](uint64_t ci) {
+    net.engine().for_each(cols, [&](uint64_t ci) {
       NodeId c = static_cast<NodeId>(ci);
       NodeId p = parent[c];
       informed_next[c] = informed[c] | (p != c ? informed[p] : uint8_t{0});
@@ -119,7 +119,7 @@ AbResult aggregate_and_broadcast(const Overlay& topo, Network& net,
   }
 
   // Final round: level-0 hosts inform their attached non-emulating nodes.
-  engine_send_loop(net, n - cols, [&](uint64_t i, MsgSink& out) {
+  net.engine().send_loop(n - cols, [&](uint64_t i, MsgSink& out) {
     NodeId u = cols + static_cast<NodeId>(i);
     if (has)
       out.send(topo.host(topo.attach_column(u)), u, kTagDetach, {v[0], v[1]});
@@ -150,7 +150,7 @@ uint64_t sync_barrier(const Overlay& topo, Network& net) {
   uint64_t start_rounds = net.rounds();
 
   // Attach round: every non-hosting node reports its 1.
-  engine_send_loop(net, n - cols, [&](uint64_t i, MsgSink& out) {
+  net.engine().send_loop(n - cols, [&](uint64_t i, MsgSink& out) {
     NodeId u = cols + static_cast<NodeId>(i);
     out.send(u, topo.host(topo.attach_column(u)), kTagAttach, {1, 0});
   });
@@ -164,7 +164,7 @@ uint64_t sync_barrier(const Overlay& topo, Network& net) {
   // step inside the (per-item, parallel-safe) send loop and reused by the
   // merge/informed passes — one virtual tree lookup per column per step.
   std::vector<NodeId> parent(cols);
-  engine_for(net, cols, [&](uint64_t ci) {
+  net.engine().for_each(cols, [&](uint64_t ci) {
     NodeId c = static_cast<NodeId>(ci);
     uint64_t w = 1;  // the hosting node's own input
     for (const Message& m : net.inbox(topo.host(c)))
@@ -173,7 +173,7 @@ uint64_t sync_barrier(const Overlay& topo, Network& net) {
   });
 
   for (uint32_t i = 0; i < steps; ++i) {
-    engine_send_loop(net, cols, [&](uint64_t ci, MsgSink& out) {
+    net.engine().send_loop(cols, [&](uint64_t ci, MsgSink& out) {
       NodeId c = static_cast<NodeId>(ci);
       NodeId nc = topo.agg_parent(i, c);
       parent[c] = nc;
@@ -181,7 +181,7 @@ uint64_t sync_barrier(const Overlay& topo, Network& net) {
         out.send(topo.host(c), topo.host(nc), kTagAggStep | (i + 1), {weight[c], 0});
     });
     net.end_round();
-    engine_for(net, cols, [&](uint64_t ci) {
+    net.engine().for_each(cols, [&](uint64_t ci) {
       NodeId c = static_cast<NodeId>(ci);
       bool held = parent[c] == c && present[c];
       uint64_t w = held ? weight[c] : 0;
@@ -211,7 +211,7 @@ uint64_t sync_barrier(const Overlay& topo, Network& net) {
   std::vector<uint8_t> informed_next(cols);
   for (uint32_t b = 0; b < steps; ++b) {
     uint32_t i = steps - 1 - b;
-    engine_send_loop(net, cols, [&](uint64_t ci, MsgSink& out) {
+    net.engine().send_loop(cols, [&](uint64_t ci, MsgSink& out) {
       NodeId c = static_cast<NodeId>(ci);
       NodeId p = topo.agg_parent(i, c);
       parent[c] = p;
@@ -219,7 +219,7 @@ uint64_t sync_barrier(const Overlay& topo, Network& net) {
         out.send(topo.host(p), topo.host(c), kTagBcastStep | b, {weight[0], 0});
     });
     net.end_round();
-    engine_for(net, cols, [&](uint64_t ci) {
+    net.engine().for_each(cols, [&](uint64_t ci) {
       NodeId c = static_cast<NodeId>(ci);
       NodeId p = parent[c];
       informed_next[c] = informed[c] | (p != c ? informed[p] : uint8_t{0});
@@ -228,7 +228,7 @@ uint64_t sync_barrier(const Overlay& topo, Network& net) {
   }
 
   // Detach round.
-  engine_send_loop(net, n - cols, [&](uint64_t i, MsgSink& out) {
+  net.engine().send_loop(n - cols, [&](uint64_t i, MsgSink& out) {
     NodeId u = cols + static_cast<NodeId>(i);
     out.send(topo.host(topo.attach_column(u)), u, kTagDetach, {weight[0], 0});
   });

@@ -46,7 +46,7 @@ MultiAggregationResult run_multi_aggregation_impl(
     for (NodeId u = 0; u < n; ++u)
       max_k = std::max<uint32_t>(max_k, static_cast<uint32_t>(per_source[u].size()));
     uint32_t handoff_rounds = std::max<uint32_t>(1, (max_k + batch - 1) / batch);
-    const uint32_t S = engine_shards(net);
+    const uint32_t S = net.engine().threads();
     std::vector<std::vector<std::pair<uint64_t, Val>>> got(S);
     std::vector<Message> handoff;
     for (uint32_t r = 0; r < handoff_rounds; ++r) {
@@ -67,12 +67,12 @@ MultiAggregationResult run_multi_aggregation_impl(
           }
         }
       }
-      engine_send_loop(net, handoff.size(),
-                       [&](uint64_t i, MsgSink& out) { out.send(handoff[i]); });
+      net.engine().send_loop(handoff.size(),
+                             [&](uint64_t i, MsgSink& out) { out.send(handoff[i]); });
       net.end_round();
       // Per-shard collect + shard-order merge keeps emplace order (first
       // write wins) identical to the sequential scan.
-      engine_ranges(net, cols, [&](uint32_t s, uint64_t b, uint64_t e) {
+      net.engine().ranges(cols, [&](uint32_t s, uint64_t b, uint64_t e) {
         for (uint64_t ci = b; ci < e; ++ci) {
           for (const Message& m : net.inbox(topo.host(static_cast<NodeId>(ci)))) {
             if (m.tag != kTagToRoot) continue;
@@ -97,7 +97,7 @@ MultiAggregationResult run_multi_aggregation_impl(
   // state only — shard-parallel) and redistribute the packets randomly over
   // the level-0 butterfly nodes, batched ceil(log n) per round per host.
   std::vector<std::vector<AggPacket>> outgoing(cols);  // per leaf column
-  engine_for(net, cols, [&](uint64_t ci) {
+  net.engine().for_each(cols, [&](uint64_t ci) {
     NodeId c = static_cast<NodeId>(ci);
     FlatMap<Val> here;
     for (const AggPacket& p : up.at_col[c]) here.emplace(p.group, p.val);
@@ -133,10 +133,10 @@ MultiAggregationResult run_multi_aggregation_impl(
         }
       }
     }
-    engine_send_loop(net, moves.size(),
-                     [&](uint64_t i, MsgSink& out) { out.send(moves[i]); });
+    net.engine().send_loop(moves.size(),
+                           [&](uint64_t i, MsgSink& out) { out.send(moves[i]); });
     net.end_round();
-    engine_for(net, cols, [&](uint64_t ci) {
+    net.engine().for_each(cols, [&](uint64_t ci) {
       NodeId c = static_cast<NodeId>(ci);
       for (const Message& m : net.inbox(topo.host(c))) {
         if (m.tag != kTagRedistribute) continue;
@@ -160,7 +160,7 @@ MultiAggregationResult run_multi_aggregation_impl(
   members.reserve(down.root_values.size());
   down.root_values.for_each([&](uint64_t g, const Val&) { members.push_back(g); });
   std::sort(members.begin(), members.end());
-  engine_send_loop(net, members.size(), [&](uint64_t i, MsgSink& out) {
+  net.engine().send_loop(members.size(), [&](uint64_t i, MsgSink& out) {
     uint64_t g = members[i];
     NodeId member = static_cast<NodeId>(g);
     NCC_ASSERT(member < n);
@@ -173,7 +173,7 @@ MultiAggregationResult run_multi_aggregation_impl(
     }
   });
   net.end_round();
-  engine_for(net, n, [&](uint64_t ui) {
+  net.engine().for_each(n, [&](uint64_t ui) {
     NodeId u = static_cast<NodeId>(ui);
     for (const Message& m : net.inbox(u)) {
       if (m.tag != kTagFinal) continue;

@@ -70,12 +70,12 @@ MulticastSetupResult setup_multicast_trees(const Shared& shared, Network& net,
         }
       }
     }
-    engine_send_loop(net, sends.size(), [&](uint64_t i, MsgSink& out) {
+    net.engine().send_loop(sends.size(), [&](uint64_t i, MsgSink& out) {
       const Handoff& h = sends[i];
       out.send(h.src, h.host, kTagInject, {h.group, h.member});
     });
     net.end_round();
-    engine_for(net, cols, [&](uint64_t ci) {
+    net.engine().for_each(cols, [&](uint64_t ci) {
       NodeId c = static_cast<NodeId>(ci);
       for (const Message& m : net.inbox(topo.host(c))) {
         if (m.tag != kTagInject) continue;
@@ -132,7 +132,7 @@ MulticastResult run_multicast_impl(const Shared& shared, Network& net,
     for (NodeId u = 0; u < n; ++u)
       max_k = std::max<uint32_t>(max_k, static_cast<uint32_t>(per_source[u].size()));
     uint32_t handoff_rounds = std::max<uint32_t>(1, (max_k + batch - 1) / batch);
-    const uint32_t S = engine_shards(net);
+    const uint32_t S = net.engine().threads();
     std::vector<std::vector<std::pair<uint64_t, Val>>> got(S);
     std::vector<Message> handoff;
     for (uint32_t r = 0; r < handoff_rounds; ++r) {
@@ -153,12 +153,12 @@ MulticastResult run_multicast_impl(const Shared& shared, Network& net,
           }
         }
       }
-      engine_send_loop(net, handoff.size(),
-                       [&](uint64_t i, MsgSink& out) { out.send(handoff[i]); });
+      net.engine().send_loop(handoff.size(),
+                             [&](uint64_t i, MsgSink& out) { out.send(handoff[i]); });
       net.end_round();
       // Shard-parallel inbox scan with a per-shard collect; merging in shard
       // order keeps the emplace order (first write wins) sequential-identical.
-      engine_ranges(net, cols, [&](uint32_t s, uint64_t b, uint64_t e) {
+      net.engine().ranges(cols, [&](uint32_t s, uint64_t b, uint64_t e) {
         for (uint64_t ci = b; ci < e; ++ci) {
           for (const Message& m : net.inbox(topo.host(static_cast<NodeId>(ci)))) {
             if (m.tag != kTagToRoot) continue;
@@ -208,12 +208,12 @@ MulticastResult run_multicast_impl(const Shared& shared, Network& net,
     }
   }
   for (uint32_t r = 0; r < s; ++r) {
-    engine_send_loop(net, schedule[r].size(), [&](uint64_t i, MsgSink& out) {
+    net.engine().send_loop(schedule[r].size(), [&](uint64_t i, MsgSink& out) {
       const Delivery& dl = schedule[r][i];
       out.send(dl.host, dl.target, kTagLeafDeliver, {dl.group, dl.val[0], dl.val[1]});
     });
     net.end_round();
-    engine_for(net, n, [&](uint64_t ui) {
+    net.engine().for_each(n, [&](uint64_t ui) {
       NodeId u = static_cast<NodeId>(ui);
       for (const Message& m : net.inbox(u)) {
         if (m.tag != kTagLeafDeliver) continue;

@@ -3,7 +3,6 @@
 // det-lint: observational — wall_ms is an observational field, outside the
 // deterministic byte prefix
 #include <chrono>
-#include <memory>
 #include <optional>
 #include <sstream>
 
@@ -118,8 +117,7 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
   cfg.strict_send = !spec.faults.any();
   Network net(cfg);
   uint32_t threads = opts.threads_override ? opts.threads_override : spec.threads;
-  std::unique_ptr<Engine> engine =
-      threads > 1 ? std::make_unique<Engine>(net, EngineConfig{threads}) : nullptr;
+  Engine engine(net, EngineConfig{threads});
   FaultInjector faults(net, spec.faults, spec.seed, spec.round_limit);
   MetricsCollector metrics(net, opts.max_series_rounds);
   // The observability layer attaches whenever its output is consumed: the
@@ -182,7 +180,7 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& opts) {
     out.trace.live_bytes = memmon->live_bytes_series();
     out.trace.flows = flowsamp->flows();
     out.trace.cache_series = result.cache_series;
-    if (engine) out.trace.shard_timing = engine->shard_timing();
+    out.trace.shard_timing = engine.shard_timing();
   }
   if (!opts.build_json) return out;
 

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <optional>
+#include <type_traits>
 
 #include "common/bits.hpp"
 #include "engine/engine.hpp"
@@ -85,42 +87,66 @@ TEST(ShardPlan, NeverMoreShardsThanItems) {
   EXPECT_EQ(ShardPlan::make(0, 8).shards, 1u);
 }
 
-TEST(Engine, AttachDetachRegistry) {
+static_assert(!std::is_copy_constructible_v<Network> &&
+                  !std::is_move_constructible_v<Network>,
+              "engines hold a Network&, so a network must stay put");
+
+TEST(Engine, AttachSwitchesFromInlineAndBack) {
   Network net(net_cfg(8));
-  EXPECT_EQ(Engine::of(net), nullptr);
+  Engine* inline_eng = &net.engine();
+  EXPECT_EQ(net.engine().threads(), 1u);  // a fresh network runs inline
   {
     Engine eng(net, eager(2));
-    EXPECT_EQ(Engine::of(net), &eng);
-    EXPECT_EQ(engine_shards(net), 2u);
+    EXPECT_EQ(&net.engine(), &eng);
+    EXPECT_EQ(net.engine().threads(), 2u);
   }
-  EXPECT_EQ(Engine::of(net), nullptr);
-  EXPECT_EQ(engine_shards(net), 1u);
+  EXPECT_EQ(&net.engine(), inline_eng);
+  EXPECT_EQ(net.engine().threads(), 1u);
+}
+
+TEST(EngineDeathTest, SecondConcurrentAttachAsserts) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(
+      {
+        Network net(net_cfg(8));
+        Engine first(net, eager(2));
+        Engine second(net, eager(2));
+      },
+      "already has an engine attached");
 }
 
 TEST(Engine, SendLoopMatchesSequentialOrder) {
-  // The staged/merged send order must equal the plain sequential loop's, so
+  // The staged/merged send order must equal a plain loop of direct sends, so
   // the delivered inboxes (which preserve arrival order under capacity) and
   // stats must match bit for bit.
-  auto run = [](uint32_t threads) {
+  auto sends = [](uint64_t i, auto&& send) {
+    NodeId u = static_cast<NodeId>(i + 1);
+    send(Message(u, 0, 7, {u, u * u}));
+    NodeId other = static_cast<NodeId>(u % 63 + 1);  // 1..63, never == u
+    if (other == u) other = (u == 1) ? 2 : 1;
+    send(Message(u, other, 8, {u}));
+  };
+  auto run = [&](uint32_t threads) {
     Network net(net_cfg(64, 3));
     std::optional<Engine> eng;
-    if (threads > 0) eng.emplace(net, eager(threads));
-    engine_send_loop(net, 63, [&](uint64_t i, MsgSink& out) {
-      NodeId u = static_cast<NodeId>(i + 1);
-      out.send(u, 0, 7, {u, u * u});
-      NodeId other = static_cast<NodeId>(u % 63 + 1);  // 1..63, never == u
-      if (other == u) other = (u == 1) ? 2 : 1;
-      out.send(u, other, 8, {u});
-    });
+    if (threads > 0) {
+      eng.emplace(net, eager(threads));
+      net.engine().send_loop(63, [&](uint64_t i, MsgSink& out) {
+        sends(i, [&](const Message& m) { out.send(m); });
+      });
+    } else {
+      for (uint64_t i = 0; i < 63; ++i)
+        sends(i, [&](const Message& m) { net.send(m); });
+    }
     net.end_round();
     std::vector<std::pair<NodeId, uint64_t>> got;
     for (const Message& m : net.inbox(0)) got.emplace_back(m.src, m.word(0));
     return std::make_tuple(got, net.stats().messages_sent, net.stats().messages_dropped,
                            net.stats().max_recv_load);
   };
-  auto seq = run(0);     // no engine: direct sends
-  auto one = run(1);     // engine, single thread
-  auto eight = run(8);   // engine, eight threads
+  auto seq = run(0);     // direct net.send() calls, no staging
+  auto one = run(1);     // staged, single thread
+  auto eight = run(8);   // staged, eight threads
   EXPECT_EQ(seq, one);
   EXPECT_EQ(seq, eight);
 }
@@ -133,7 +159,7 @@ TEST(Network, ParallelDeliveryBitIdenticalUnderOverload) {
     std::optional<Engine> eng;
     if (threads > 0) eng.emplace(net, eager(threads));
     for (int round = 0; round < 3; ++round) {
-      engine_send_loop(net, 511, [&](uint64_t i, MsgSink& out) {
+      net.engine().send_loop(511, [&](uint64_t i, MsgSink& out) {
         NodeId u = static_cast<NodeId>(i + 1);
         out.send(u, 0, 1, {u});
         NodeId spread = static_cast<NodeId>(1 + (u * 37) % 510);
@@ -148,7 +174,7 @@ TEST(Network, ParallelDeliveryBitIdenticalUnderOverload) {
     return std::make_tuple(survivors, st.messages_sent, st.messages_dropped,
                            st.max_send_load, st.max_recv_load);
   };
-  auto seq = run(0);
+  auto seq = run(0);  // the network's inline threads=1 engine
   auto two = run(2);
   auto eight = run(8);
   EXPECT_EQ(seq, two);
@@ -176,14 +202,14 @@ TEST(Network, DeliveryHookOrderIsSequentialUnderEngine) {
     std::vector<std::pair<NodeId, NodeId>> seen;  // (dst, src) in hook order
     net.add_delivery_hook(
         [&](const Message& m, uint64_t) { seen.emplace_back(m.dst, m.src); });
-    engine_send_loop(net, 31, [&](uint64_t i, MsgSink& out) {
+    net.engine().send_loop(31, [&](uint64_t i, MsgSink& out) {
       NodeId u = static_cast<NodeId>(i + 1);
       out.send(u, static_cast<NodeId>((u + 1) % 32 == u ? 0 : (u + 1) % 32), 1, {u});
     });
     net.end_round();
     return seen;
   };
-  EXPECT_EQ(run(0), run(8));
+  EXPECT_EQ(run(0), run(8));  // inline threads=1 engine vs eight threads
 }
 
 namespace {
@@ -255,7 +281,7 @@ TEST(Arena, AllocsFlatAfterWarmUp) {
     return a;
   };
   auto round = [&]() {
-    engine_send_loop(net, 255, [&](uint64_t i, MsgSink& out) {
+    net.engine().send_loop(255, [&](uint64_t i, MsgSink& out) {
       NodeId u = static_cast<NodeId>(i + 1);
       out.send(u, 0, 1, {u, u * u});  // overloads node 0: reservoir path too
       NodeId spread = static_cast<NodeId>(1 + (u * 37) % 254);
@@ -280,12 +306,12 @@ TEST(Arena, InterleavedDirectAndLoopSendsMatchSequential) {
     if (threads > 0) eng.emplace(net, eager(threads));
     for (int round = 0; round < 2; ++round) {
       net.send(1, 0, 1, {100});  // direct: tail run before any staged run
-      engine_send_loop(net, 95, [&](uint64_t i, MsgSink& out) {
+      net.engine().send_loop(95, [&](uint64_t i, MsgSink& out) {
         NodeId u = static_cast<NodeId>(i + 1);
         out.send(u, 0, 2, {u});
       });
       net.send(2, 0, 3, {200});  // direct: tail run between staged batches
-      engine_send_loop(net, 95, [&](uint64_t i, MsgSink& out) {
+      net.engine().send_loop(95, [&](uint64_t i, MsgSink& out) {
         NodeId u = static_cast<NodeId>(i + 1);
         NodeId other = static_cast<NodeId>(u % 95 + 1);
         if (other == u) other = (u == 1) ? 2 : 1;
@@ -299,7 +325,7 @@ TEST(Arena, InterleavedDirectAndLoopSendsMatchSequential) {
     return std::make_tuple(got, st.messages_sent, st.messages_dropped,
                            st.max_recv_load);
   };
-  auto seq = run(0);
+  auto seq = run(0);  // inline engine; run(1) attaches an eager threads=1 one
   EXPECT_EQ(seq, run(1));
   EXPECT_EQ(seq, run(8));
   EXPECT_GT(std::get<2>(seq), 0u);  // node 0 was actually truncated
@@ -317,7 +343,7 @@ TEST(Arena, MillionNodeIdBounds) {
     std::optional<Engine> eng;
     if (threads > 0) eng.emplace(net, eager(threads));
     for (int round = 0; round < 2; ++round) {
-      engine_send_loop(net, probes.size(), [&](uint64_t i, MsgSink& out) {
+      net.engine().send_loop(probes.size(), [&](uint64_t i, MsgSink& out) {
         NodeId u = probes[i];
         for (NodeId v : probes)
           if (v != u) out.send(u, v, 9, {(uint64_t{u} << 20) | v});
@@ -347,7 +373,7 @@ TEST(NodeProgram, MinFloodConvergesIdenticallyAcrossThreadCounts) {
     prog.finish(net);
     return std::make_tuple(prog.values(), r.rounds, net.stats().messages_sent);
   };
-  auto seq = run(0);
+  auto seq = run(0);  // the network's inline threads=1 engine
   auto eight = run(8);
   EXPECT_EQ(seq, eight);
   for (uint64_t v : std::get<0>(seq)) EXPECT_EQ(v, 0u);

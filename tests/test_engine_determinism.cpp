@@ -1,8 +1,8 @@
 // Engine determinism: for a fixed seed, threads=1 and threads=8 must produce
 // byte-identical algorithm outputs (BfsResult, MIS sets) and identical
 // NetStats, on gnm and powerlaw graphs — the acceptance contract of the
-// sharded round engine. The sequential no-engine path is held to the same
-// standard.
+// sharded round engine. The network's own inline threads=1 engine (threads
+// = 0 below: nothing attached) is held to the same standard.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -94,7 +94,7 @@ MisRun mis_run(const Graph& g, uint32_t threads) {
 
 TEST(EngineDeterminism, BfsIdenticalOnGnm) {
   Graph g = gnm_case(192);
-  BfsRun seq = bfs_run(g, 0);
+  BfsRun seq = bfs_run(g, 0);  // inline engine, default cutoffs
   BfsRun one = bfs_run(g, 1);
   BfsRun eight = bfs_run(g, 8);
   EXPECT_EQ(seq, one);
@@ -113,7 +113,7 @@ TEST(EngineDeterminism, BfsIdenticalOnPowerlaw) {
 
 TEST(EngineDeterminism, MisIdenticalOnGnm) {
   Graph g = gnm_case(192);
-  MisRun seq = mis_run(g, 0);
+  MisRun seq = mis_run(g, 0);  // inline engine, default cutoffs
   MisRun one = mis_run(g, 1);
   MisRun eight = mis_run(g, 8);
   EXPECT_EQ(seq, one);

@@ -3,8 +3,8 @@
 // validity, and the per-edge one-packet-per-round discipline. The
 // RouterPinned suite pins every observable number of a fixed call sequence
 // (rounds, messages, RouteStats, result and delivered-message digests) on a
-// 2-edge and a 2d-1-edge overlay, with and without a multi-shard engine and
-// with a stall window that forces the token heartbeat in both directions.
+// 2-edge and a 2d-1-edge overlay, on the network's inline threads=1 engine
+// and on an attached multi-shard one, and with a stall window that forces the token heartbeat in both directions.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -304,7 +304,7 @@ void expect_pinned(OverlayKind kind, bool stall, const std::vector<CallPin>& wan
   }
   for (bool engine : {false, true}) {
     std::vector<CallPin> got = run_pinned(kind, engine, stall);
-    EXPECT_EQ(got, want) << overlay_name(kind) << (engine ? " engine t4" : " no engine")
+    EXPECT_EQ(got, want) << overlay_name(kind) << (engine ? " engine t4" : " inline t1")
                          << (stall ? " stalled" : "") << "; actual:\n"
                          << format_pins(got);
   }
