@@ -6,20 +6,6 @@
 
 namespace ncc {
 
-namespace {
-
-uint64_t now_ns() {
-  return static_cast<uint64_t>(
-      // det-lint: observational — timestamps land in Perfetto spans, outside the
-      // deterministic byte prefix
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          // det-lint: observational — same: span timestamps only
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
-
 Engine::Engine(Network& net, EngineConfig cfg)
     : net_(net), cfg_(cfg), pool_(cfg.threads) {
   arenas_.resize(pool_.threads());
@@ -30,67 +16,36 @@ Engine::Engine(Network& net, EngineConfig cfg)
 
 Engine::~Engine() { net_.detach(); }
 
-void Engine::run_shards(uint32_t shards, const std::function<void(uint32_t)>& fn) {
-  pool_.run(shards, [&fn](uint64_t t) { fn(static_cast<uint32_t>(t)); });
+uint64_t Engine::now_ns() {
+  return static_cast<uint64_t>(
+      // det-lint: observational — timestamps land in Perfetto spans, outside the
+      // deterministic byte prefix
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          // det-lint: observational — same: span timestamps only
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
 }
 
-void Engine::ranges(uint64_t count,
-                    const std::function<void(uint32_t, uint64_t, uint64_t)>& fn) {
-  uint32_t want = count >= cfg_.loop_cutoff ? pool_.threads() : 1;
-  ShardPlan plan = ShardPlan::make(count, want);
-  if (count == 0) return;
-  run_shards(plan.shards,
-             [&](uint32_t s) { fn(s, plan.begin(s), plan.end(s)); });
+void Engine::staged(uint32_t s, uint64_t stage_ns) {
+  EngineShardTiming& tm = timing_[s];
+  tm.stage_ns += stage_ns;
+  ++tm.loops;
+  EngineShardMemory& mm = memory_[s];
+  mm.staged_msgs_peak = std::max<uint64_t>(mm.staged_msgs_peak, arenas_[s].size());
+  mm.staged_bytes_peak = std::max<uint64_t>(mm.staged_bytes_peak, arenas_[s].capacity_bytes());
 }
 
-void Engine::for_each(uint64_t count, const std::function<void(uint64_t)>& fn) {
-  ranges(count, [&fn](uint32_t, uint64_t b, uint64_t e) {
-    for (uint64_t i = b; i < e; ++i) fn(i);
-  });
-}
-
-void Engine::send_loop(uint64_t count,
-                       const std::function<void(uint64_t, MsgSink&)>& step) {
-  uint32_t want = count >= cfg_.loop_cutoff ? pool_.threads() : 1;
-  ShardPlan plan = ShardPlan::make(count, want);
-  if (count == 0) return;
-  // Arenas come from the network's pool (caller thread, before the parallel
-  // region), so capacity is reused across rounds and steady-state staging
-  // allocates nothing.
-  for (uint32_t s = 0; s < plan.shards; ++s) arenas_[s] = net_.acquire_arena();
-  run_shards(plan.shards, [&](uint32_t s) {
-    uint64_t t0 = now_ns();
-    MsgSink sink(&arenas_[s]);
-    for (uint64_t i = plan.begin(s); i < plan.end(s); ++i) step(i, sink);
-    EngineShardTiming& tm = timing_[s];
-    tm.stage_ns += now_ns() - t0;
-    ++tm.loops;
-    EngineShardMemory& mm = memory_[s];
-    mm.staged_msgs_peak = std::max<uint64_t>(mm.staged_msgs_peak, arenas_[s].size());
-    mm.staged_bytes_peak =
-        std::max<uint64_t>(mm.staged_bytes_peak, arenas_[s].capacity_bytes());
-  });
-  // Merge in shard order == global item order: stage_run keeps the strict
-  // send accounting on the caller thread (a header-only scan) and takes each
-  // shard's arena zero-copy as the next pending run. Capacity growth during
-  // staging is drained into the shard's memory profile first, so the network
-  // does not double count it.
-  for (uint32_t s = 0; s < plan.shards; ++s) {
-    uint64_t t0 = now_ns();
-    memory_[s].allocs += arenas_[s].take_allocs();
-    net_.stage_run(std::move(arenas_[s]));
-    timing_[s].merge_ns += now_ns() - t0;
-  }
-}
-
-void Engine::run_delivery(uint32_t tasks, const std::function<void(uint32_t)>& fn) {
-  pool_.run(tasks, [this, &fn](uint64_t t) {
-    uint64_t t0 = now_ns();
-    fn(static_cast<uint32_t>(t));
-    EngineShardTiming& tm = timing_[t];
-    tm.deliver_ns += now_ns() - t0;
-    ++tm.deliveries;
-  });
+// Merge in shard order == global item order: stage_run keeps the strict send
+// accounting on the caller thread (a header-only scan) and takes the shard's
+// arena zero-copy as the next pending run. Capacity growth during staging is
+// drained into the shard's memory profile first, so the network does not
+// double count it.
+uint64_t Engine::merge(uint32_t s, uint64_t t0) {
+  memory_[s].allocs += arenas_[s].take_allocs();
+  net_.stage_run(std::move(arenas_[s]));
+  const uint64_t t1 = now_ns();
+  timing_[s].merge_ns += t1 - t0;
+  return t1;
 }
 
 void Engine::reset_timing() {

@@ -17,10 +17,15 @@
 // lives. Primitives and algorithms reach the current one through
 // net.engine(); end_round() runs its delivery passes on the same engine's
 // pool (see net/network.hpp). threads=1 is the plain sequential loop.
+//
+// Loop API: ranges(), for_each(), send_loop() and run_delivery() are header
+// templates over their callable. A loop that runs one shard — every loop at
+// threads=1, and any loop below loop_cutoff items — calls its body inline on
+// the caller thread. std::function remains only at the ThreadPool dispatch
+// of a multi-shard loop: one wrapper per loop around the shard body.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <initializer_list>
 #include <vector>
 
@@ -98,17 +103,43 @@ class Engine {
   Network& net() { return net_; }
   uint32_t threads() const { return pool_.threads(); }
 
-  /// Run fn(0..shards-1) on the pool (shards <= threads()).
-  void run_shards(uint32_t shards, const std::function<void(uint32_t)>& fn);
+  // The loops below are templates over the callable: a single-shard loop
+  // (threads == 1, or fewer than loop_cutoff items) calls its body inline,
+  // with no type erasure and no allocation. Only a multi-shard loop goes
+  // through the pool, which takes one std::function wrapping the whole
+  // shard body — one indirect call per shard, never one per item.
 
-  /// Shard [0, count) contiguously and hand each shard its range. `fn` runs
-  /// concurrently across shards; per-shard accumulation indexed by `shard`
-  /// (with a final merge in shard order) keeps results thread-count-free.
-  void ranges(uint64_t count,
-              const std::function<void(uint32_t shard, uint64_t begin, uint64_t end)>& fn);
+  /// Shards ranges(count, ...) and send_loop(count, ...) split [0, count)
+  /// into: threads() at or above loop_cutoff items, else 1 (0 items: 1).
+  uint32_t shards_for(uint64_t count) const {
+    return ShardPlan::make(count, count >= cfg_.loop_cutoff ? threads() : 1).shards;
+  }
+
+  /// Shard [0, count) contiguously and call fn(shard, begin, end) per shard.
+  /// `fn` runs concurrently across shards; per-shard accumulation indexed by
+  /// `shard` (with a final merge in shard order) keeps results
+  /// thread-count-free.
+  template <class Fn>
+  void ranges(uint64_t count, Fn&& fn) {
+    if (count == 0) return;
+    const ShardPlan plan = ShardPlan::make(count, shards_for(count));
+    if (plan.shards == 1) {
+      fn(uint32_t{0}, uint64_t{0}, count);
+      return;
+    }
+    pool_.run(plan.shards, [&](uint64_t s) {
+      fn(static_cast<uint32_t>(s), plan.begin(static_cast<uint32_t>(s)),
+         plan.end(static_cast<uint32_t>(s)));
+    });
+  }
 
   /// Plain parallel loop over [0, count); fn(i) may only touch item-i state.
-  void for_each(uint64_t count, const std::function<void(uint64_t)>& fn);
+  template <class Fn>
+  void for_each(uint64_t count, Fn&& fn) {
+    ranges(count, [&fn](uint32_t, uint64_t b, uint64_t e) {
+      for (uint64_t i = b; i < e; ++i) fn(i);
+    });
+  }
 
   /// Parallel step loop with staged sends: step(i, sink) runs shard-parallel,
   /// sinks stage into per-shard arenas (acquired from the network's pool, so
@@ -116,12 +147,46 @@ class Engine {
   /// zero-copy in shard order before returning — the send order equals the
   /// sequential loop's. The round stays open; the caller ends it with
   /// net().end_round().
-  void send_loop(uint64_t count, const std::function<void(uint64_t, MsgSink&)>& step);
+  template <class Step>
+  void send_loop(uint64_t count, Step&& step) {
+    if (count == 0) return;
+    const uint32_t shards = shards_for(count);
+    // Arenas come from the network's pool (caller thread, before the
+    // parallel region), so steady-state staging allocates nothing.
+    for (uint32_t s = 0; s < shards; ++s) arenas_[s] = net_.acquire_arena();
+    uint64_t t = 0;  // end of a single shard's staging
+    ranges(count, [&](uint32_t s, uint64_t b, uint64_t e) {
+      const uint64_t t0 = now_ns();
+      MsgSink sink(&arenas_[s]);
+      for (uint64_t i = b; i < e; ++i) step(i, sink);
+      const uint64_t t1 = now_ns();
+      staged(s, t1 - t0);
+      if (shards == 1) t = t1;
+    });
+    // Merge timestamps chain: each shard's merge ends where the next begins
+    // (a single shard's begins where its staging ended).
+    if (shards > 1) t = now_ns();
+    for (uint32_t s = 0; s < shards; ++s) t = merge(s, t);
+  }
 
   /// end_round() delivery: run fn(0..tasks-1) on the pool, timing each task
-  /// into its shard's deliver_ns. Rounds with fewer than delivery_cutoff()
-  /// pending messages deliver single-shard.
-  void run_delivery(uint32_t tasks, const std::function<void(uint32_t)>& fn);
+  /// into its shard's deliver_ns. A single task runs inline.
+  template <class Fn>
+  void run_delivery(uint32_t tasks, Fn&& fn) {
+    auto timed = [&](uint64_t t) {
+      const uint64_t t0 = now_ns();
+      fn(static_cast<uint32_t>(t));
+      EngineShardTiming& tm = timing_[t];
+      tm.deliver_ns += now_ns() - t0;
+      ++tm.deliveries;
+    };
+    if (tasks == 1) {
+      timed(0);
+      return;
+    }
+    pool_.run(tasks, timed);
+  }
+  /// Rounds with fewer pending messages than this deliver single-shard.
   uint64_t delivery_cutoff() const { return cfg_.delivery_cutoff; }
 
   /// Per-shard wall-clock profile (one entry per pool thread). Each shard's
@@ -135,6 +200,14 @@ class Engine {
   void reset_timing();
 
  private:
+  /// Monotonic nanoseconds for the observational timing profile.
+  static uint64_t now_ns();
+  /// Closes shard s's staging: stage time and staged-arena memory profile.
+  void staged(uint32_t s, uint64_t stage_ns);
+  /// Hands shard s's staged arena to the network (send_loop's merge step)
+  /// and charges it the time since `t0`; returns the end timestamp.
+  uint64_t merge(uint32_t s, uint64_t t0);
+
   Network& net_;
   EngineConfig cfg_;
   ThreadPool pool_;

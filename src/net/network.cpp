@@ -6,6 +6,7 @@
 #include "common/flat_map.hpp"
 #include "engine/engine.hpp"
 #include "engine/shard.hpp"
+#include "overlay/scratch.hpp"
 
 namespace ncc {
 
@@ -35,6 +36,22 @@ void Network::attach(Engine* eng) {
 
 void Network::detach() { engine_ = inline_engine_.get(); }
 
+OverlayScratch& Network::overlay_scratch() {
+  if (!overlay_scratch_) overlay_scratch_ = std::make_unique<OverlayScratch>();
+  return *overlay_scratch_;
+}
+
+void Network::count_send(NodeId src) {
+  const uint32_t c = ++send_count_[src];
+  if (c > cap_) {
+    if (config_.strict_send) {
+      NCC_ASSERT_MSG(false, "send capacity exceeded (algorithm bug)");
+    }
+    ++stats_.send_violations;
+  }
+  round_max_send_ = std::max(round_max_send_, c);
+}
+
 MsgArena Network::acquire_arena() {
   if (pool_.empty()) return MsgArena{};
   MsgArena a = std::move(pool_.back());
@@ -50,12 +67,7 @@ void Network::stage_run(MsgArena&& run) {
   for (size_t i = 0; i < count; ++i) {
     NCC_ASSERT(h[i].src < config_.n && h[i].dst < config_.n);
     NCC_ASSERT_MSG(h[i].src != h[i].dst, "nodes do not message themselves");
-    if (++send_count_[h[i].src] > cap_) {
-      if (config_.strict_send) {
-        NCC_ASSERT_MSG(false, "send capacity exceeded (algorithm bug)");
-      }
-      ++stats_.send_violations;
-    }
+    count_send(h[i].src);
   }
   stats_.messages_sent += count;
   // Growth the stager did not drain itself (engine shards drain into their
@@ -72,13 +84,7 @@ void Network::stage_run(MsgArena&& run) {
 void Network::send(const Message& msg) {
   NCC_ASSERT(msg.src < config_.n && msg.dst < config_.n);
   NCC_ASSERT_MSG(msg.src != msg.dst, "nodes do not message themselves");
-  ++send_count_[msg.src];
-  if (send_count_[msg.src] > cap_) {
-    if (config_.strict_send) {
-      NCC_ASSERT_MSG(false, "send capacity exceeded (algorithm bug)");
-    }
-    ++stats_.send_violations;
-  }
+  count_send(msg.src);
   ++stats_.messages_sent;
   if (!tail_open_) {
     runs_.push_back(acquire_arena());
@@ -92,8 +98,34 @@ void Network::end_round() {
   const uint64_t round = stats_.rounds;
   const uint32_t R = static_cast<uint32_t>(runs_.size());
 
+  if (recv_seen_.size() != n) recv_seen_.assign(n, 0);
+  if (wsum_.size() != n) wsum_.assign(n, 0);
+  if (word_off_.size() != n) word_off_.assign(n, 0);
+
+  // Close the previous round's inboxes. The nodes that received last round
+  // are exactly the destinations of its delivered headers, so this costs
+  // O(delivered), not O(n); afterwards inbox_cnt_, recv_seen_ and wsum_ are
+  // zero everywhere, which the placement pass below relies on.
+  for (uint64_t i = 0; i < delivered_; ++i) {
+    const NodeId u = inbox_hdr_[i].dst;
+    inbox_cnt_[u] = 0;
+    recv_seen_[u] = 0;
+    wsum_[u] = 0;
+  }
+  delivered_ = 0;
+
+  // Send accounting: the round's peak load was tracked at send time; the
+  // per-sender counters are cleared through the senders of the pending
+  // headers (before fault drops, which must not hide a send).
   uint64_t total = 0;
-  for (const MsgArena& r : runs_) total += r.size();
+  for (const MsgArena& r : runs_) {
+    const MsgHdr* h = r.hdrs();
+    const size_t sz = r.size();
+    for (size_t i = 0; i < sz; ++i) send_count_[h[i].src] = 0;
+    total += sz;
+  }
+  stats_.max_send_load = std::max(stats_.max_send_load, round_max_send_);
+  round_max_send_ = 0;
 
   // Live-message accounting at the pre-fault snapshot: what was sent this
   // round, a thread-count-invariant quantity (see NetMemStats). Measured in
@@ -135,25 +167,22 @@ void Network::end_round() {
   if (faults_.recv_cap) rcap = std::max<uint32_t>(1, faults_.recv_cap(round, cap_));
 
   // Every delivery pass runs as engine tasks — single-shard rounds too,
-  // where the pool runs the one task inline on the caller thread. That keeps
-  // deliver_ns attribution uniform across thread counts.
+  // where the engine calls the one task inline on the caller thread. That
+  // keeps deliver_ns attribution uniform across thread counts.
   Engine& eng = *engine_;
   uint32_t S = 1;
   if (eng.threads() > 1 && total >= eng.delivery_cutoff()) S = eng.threads();
   ShardPlan nodes = ShardPlan::make(n, S);
   S = nodes.shards;
   ShardPlan chunks = ShardPlan::make(total, S);
-
-  if (recv_seen_.size() != n) recv_seen_.assign(n, 0);
-  if (wsum_.size() != n) wsum_.assign(n, 0);
-  if (word_off_.size() != n) word_off_.assign(n, 0);
+  acc_.assign(S, ShardAcc{});
 
   // Global send-order offsets of the runs: pending index i lives in run r at
-  // local slot i - run_start[r]. Scatter rows and scans walk indices in
+  // local slot i - run_start_[r]. Scatter rows and scans walk indices in
   // ascending order, so a running run pointer recovers (run, slot) in O(1)
   // amortized.
-  std::vector<uint64_t> run_start(R + 1, 0);
-  for (uint32_t r = 0; r < R; ++r) run_start[r + 1] = run_start[r] + runs_[r].size();
+  run_start_.assign(R + 1, 0);
+  for (uint32_t r = 0; r < R; ++r) run_start_[r + 1] = run_start_[r] + runs_[r].size();
 
   // Counting-sort index pass (multi-shard only): chunk p of the pending
   // order records the global indices headed for destination shard s in
@@ -164,19 +193,17 @@ void Network::end_round() {
     NCC_ASSERT_MSG(total <= UINT32_MAX,
                    "per-round pending exceeds 32-bit scatter indices");
     scatter_.resize(static_cast<size_t>(chunks.shards) * S);
-    std::vector<uint64_t> scatter_allocs(chunks.shards, 0);
     eng.run_delivery(chunks.shards, [&](uint32_t p) {
       for (uint32_t s = 0; s < S; ++s) scatter_[static_cast<size_t>(p) * S + s].clear();
       uint32_t r = 0;
       for (uint64_t i = chunks.begin(p); i < chunks.end(p); ++i) {
-        while (i >= run_start[r + 1]) ++r;
-        const MsgHdr& h = runs_[r].hdrs()[i - run_start[r]];
+        while (i >= run_start_[r + 1]) ++r;
+        const MsgHdr& h = runs_[r].hdrs()[i - run_start_[r]];
         auto& row = scatter_[static_cast<size_t>(p) * S + nodes.shard_of(h.dst)];
-        if (row.size() == row.capacity()) ++scatter_allocs[p];
+        if (row.size() == row.capacity()) ++acc_[p].scatter_allocs;
         row.push_back(static_cast<uint32_t>(i));
       }
     });
-    for (uint64_t a : scatter_allocs) mem_.allocs += a;
   }
 
   // Walk destination shard s's messages in arrival order; fn(hdr, words)
@@ -193,63 +220,42 @@ void Network::end_round() {
       for (uint32_t p = 0; p < chunks.shards; ++p) {
         uint32_t r = 0;
         for (uint32_t gi : scatter_[static_cast<size_t>(p) * S + s]) {
-          while (gi >= run_start[r + 1]) ++r;
-          fn(runs_[r].hdrs()[gi - run_start[r]], runs_[r].words());
+          while (gi >= run_start_[r + 1]) ++r;
+          fn(runs_[r].hdrs()[gi - run_start_[r]], runs_[r].words());
         }
       }
     }
   };
 
-  struct ShardAcc {
-    uint32_t max_send = 0;
-    uint32_t max_recv = 0;
-    uint64_t dropped = 0;
-    uint64_t hdr_total = 0;   // headers delivered into this shard's inboxes
-    uint64_t word_total = 0;  // this shard's span of the inbox word store
-  };
-  std::vector<ShardAcc> acc(S);
-
   // Count pass: per destination, the addressed (pre-drop) message count and
-  // payload-word budget. Overloaded destinations (count > rcap) get fixed
-  // rcap * kMaxMessageWords word slots instead of exact sums, so reservoir
-  // replacement can overwrite any slot with any payload width.
+  // payload-word sum; the shard's inbox totals follow message by message.
+  // An overloaded destination (count > rcap) keeps rcap headers and gets
+  // fixed rcap * kMaxMessageWords word slots instead of the exact sum, so
+  // reservoir replacement can overwrite any slot with any payload width.
   eng.run_delivery(S, [&](uint32_t s) {
-    ShardAcc& a = acc[s];
-    const NodeId lo = static_cast<NodeId>(nodes.begin(s));
-    const NodeId hi = static_cast<NodeId>(nodes.end(s));
-    for (NodeId u = lo; u < hi; ++u) {
-      recv_seen_[u] = 0;
-      wsum_[u] = 0;
-    }
+    ShardAcc& a = acc_[s];
     for_dst_shard(s, [&](const MsgHdr& h, const uint64_t*) {
-      ++recv_seen_[h.dst];
+      const uint32_t k = ++recv_seen_[h.dst];
       wsum_[h.dst] += h.nwords;
-    });
-    for (NodeId u = lo; u < hi; ++u) {
-      a.max_send = std::max(a.max_send, send_count_[u]);
-      send_count_[u] = 0;
-      const uint32_t cnt = recv_seen_[u];
-      a.max_recv = std::max(a.max_recv, cnt);
-      if (cnt > rcap) {
-        a.dropped += cnt - rcap;
-        wsum_[u] = rcap * kMaxMessageWords;
-        a.hdr_total += rcap;
+      a.max_recv = std::max(a.max_recv, k);
+      if (k <= rcap) {
+        ++a.hdr_total;
+        a.word_total += h.nwords;
       } else {
-        a.hdr_total += cnt;
+        ++a.dropped;
+        if (k == rcap + 1) a.word_total += rcap * kMaxMessageWords - (wsum_[h.dst] - h.nwords);
       }
-      a.word_total += wsum_[u];
-    }
+    });
   });
 
   // Shard prefix over the flat inbox arena (sequential, S terms); the arena
   // only ever grows, so steady-state rounds re-fill warm capacity.
   uint64_t hdr_total = 0, word_total = 0;
-  std::vector<uint64_t> hdr_base(S), word_base(S);
-  for (uint32_t s = 0; s < S; ++s) {
-    hdr_base[s] = hdr_total;
-    word_base[s] = word_total;
-    hdr_total += acc[s].hdr_total;
-    word_total += acc[s].word_total;
+  for (ShardAcc& a : acc_) {
+    a.hdr_base = hdr_total;
+    a.word_base = word_total;
+    hdr_total += a.hdr_total;
+    word_total += a.word_total;
   }
   NCC_ASSERT_MSG(word_total <= UINT32_MAX,
                  "per-round inbox word store exceeds 32-bit offsets");
@@ -262,31 +268,30 @@ void Network::end_round() {
     inbox_words_.resize(word_total);
   }
 
-  // Placement pass: per destination shard, lay out each node's inbox span,
-  // then stream the shard's messages into their slots. The drop RNG is
-  // forked per (round, destination), so the surviving subset of an
-  // overloaded inbox does not depend on the shard layout or on the traffic
-  // at other destinations.
+  // Placement pass: a destination's first arrival lays out its inbox span
+  // at the shard's cursor (so spans follow first-arrival order), then every
+  // message streams into its slot. The drop RNG is forked per (round,
+  // destination), so the surviving subset of an overloaded inbox does not
+  // depend on the shard layout or on the traffic at other destinations.
   eng.run_delivery(S, [&](uint32_t s) {
-    const NodeId lo = static_cast<NodeId>(nodes.begin(s));
-    const NodeId hi = static_cast<NodeId>(nodes.end(s));
-    uint64_t hcur = hdr_base[s];
-    uint64_t wcur = word_base[s];
-    for (NodeId u = lo; u < hi; ++u) {
-      inbox_off_[u] = hcur;
-      inbox_cnt_[u] = std::min(recv_seen_[u], rcap);
-      word_off_[u] = wcur;
-      hcur += inbox_cnt_[u];
-      wcur += wsum_[u];
-      wsum_[u] = 0;  // becomes the arrival counter below
-    }
+    const ShardAcc& a = acc_[s];
+    uint64_t hcur = a.hdr_base;
+    uint64_t wcur = a.word_base;
     MsgHdr* hout = inbox_hdr_.data();
     uint64_t* wout = inbox_words_.data();
     FlatMap<Rng> drop_rng;  // lookup/emplace only, never iterated
     for_dst_shard(s, [&](const MsgHdr& h, const uint64_t* wbase) {
       const NodeId dst = h.dst;
-      const uint32_t k = wsum_[dst]++;
       const bool overloaded = recv_seen_[dst] > rcap;
+      if (inbox_cnt_[dst] == 0) {
+        inbox_off_[dst] = hcur;
+        inbox_cnt_[dst] = std::min(recv_seen_[dst], rcap);
+        word_off_[dst] = wcur;
+        hcur += inbox_cnt_[dst];
+        wcur += overloaded ? uint64_t{rcap} * kMaxMessageWords : wsum_[dst];
+        wsum_[dst] = 0;  // becomes the arrival counter
+      }
+      const uint32_t k = wsum_[dst]++;
       uint64_t slot, woff;
       if (k < rcap) {
         slot = inbox_off_[dst] + k;
@@ -312,6 +317,7 @@ void Network::end_round() {
       for (uint8_t w = 0; w < h.nwords; ++w) wout[woff + w] = wbase[h.off + w];
     });
   });
+  delivered_ = hdr_total;
 
   uint64_t container_bytes = 0;
   for (const MsgArena& r : runs_) container_bytes += r.capacity_bytes();
@@ -323,10 +329,10 @@ void Network::end_round() {
                       wsum_.capacity() + inbox_cnt_.capacity()) *
                      sizeof(uint32_t);
   container_bytes += (inbox_off_.capacity() + word_off_.capacity()) * sizeof(uint64_t);
-  for (const ShardAcc& a : acc) {
-    stats_.max_send_load = std::max(stats_.max_send_load, a.max_send);
+  for (const ShardAcc& a : acc_) {
     stats_.max_recv_load = std::max(stats_.max_recv_load, a.max_recv);
     stats_.messages_dropped += a.dropped;
+    mem_.allocs += a.scatter_allocs;
   }
   mem_.container_bytes_peak = std::max(mem_.container_bytes_peak, container_bytes);
 
@@ -384,13 +390,6 @@ void Network::remove_round_hook(HookId id) {
   std::erase_if(round_hooks_, [id](const auto& s) { return s.id == id; });
 }
 
-InboxView Network::inbox(NodeId u) const {
-  NCC_ASSERT(u < config_.n);
-  const uint32_t cnt = inbox_cnt_[u];
-  if (cnt == 0) return InboxView{};
-  return InboxView(inbox_hdr_.data() + inbox_off_[u], inbox_words_.data(), cnt);
-}
-
 void Network::charge_rounds(uint64_t k) { stats_.charged_rounds += k; }
 
 void Network::reset_stats() {
@@ -409,6 +408,8 @@ void Network::reset_stats() {
   std::fill(word_off_.begin(), word_off_.end(), 0);
   std::fill(inbox_off_.begin(), inbox_off_.end(), 0);
   std::fill(inbox_cnt_.begin(), inbox_cnt_.end(), 0);
+  delivered_ = 0;
+  round_max_send_ = 0;
   inbox_hdr_.clear();
   inbox_words_.clear();
   for (auto& row : scatter_) row.clear();

@@ -31,6 +31,7 @@
 namespace ncc {
 
 class Engine;
+struct OverlayScratch;  // overlay/scratch.hpp
 
 struct NetConfig {
   NodeId n = 0;
@@ -190,12 +191,26 @@ class Network {
   /// per-node inboxes, advance the round counter. Runs shard-parallel across
   /// destinations on a multi-threaded engine; the result is identical for
   /// any thread count.
+  ///
+  /// Cost model: O(messages sent + messages delivered last round), plus the
+  /// per-shard bookkeeping of a multi-shard round — never a sweep over all
+  /// n nodes (only an attached delivery hook walks the nodes, to emit in
+  /// destination order). Last round's inboxes are closed through their
+  /// delivered headers, senders' counters through this round's pending
+  /// headers, and a destination's inbox span is laid out at its first
+  /// arrival in the placement pass. Every container is a member whose
+  /// capacity survives the round, so a steady-state round allocates nothing.
   void end_round();
 
   /// Inbox of `u` holding the messages delivered at the start of the current
   /// round (i.e., the ones sent in the previous round). The view reads the
   /// flat inbox arena in place and is invalidated by the next end_round().
-  InboxView inbox(NodeId u) const;
+  InboxView inbox(NodeId u) const {
+    NCC_ASSERT(u < config_.n);
+    const uint32_t cnt = inbox_cnt_[u];
+    if (cnt == 0) return InboxView{};
+    return InboxView(inbox_hdr_.data() + inbox_off_[u], inbox_words_.data(), cnt);
+  }
 
   /// Charge `k` rounds without simulating them (used only for the
   /// shared-randomness setup broadcasts whose cost the paper states in
@@ -259,6 +274,12 @@ class Network {
   Engine& engine() { return *engine_; }
   const Engine& engine() const { return *engine_; }
 
+  /// Reusable per-call state of the overlay layer (the router's token drain
+  /// and the synchronization barrier; see overlay/scratch.hpp). Created on
+  /// first use and owned by this network, like its inline engine; calls on
+  /// one network are sequential, so one instance serves them all.
+  OverlayScratch& overlay_scratch();
+
  private:
   friend class Engine;
   void attach(Engine* eng);  // called by Engine's constructor
@@ -269,6 +290,19 @@ class Network {
     HookId id;
     Hook fn;
   };
+  /// Per-shard delivery accounting of one end_round (count pass totals and
+  /// the shard's base in the flat inbox arena).
+  struct ShardAcc {
+    uint32_t max_recv = 0;
+    uint64_t dropped = 0;
+    uint64_t hdr_total = 0;   // headers delivered into this shard's inboxes
+    uint64_t word_total = 0;  // this shard's span of the inbox word store
+    uint64_t hdr_base = 0;
+    uint64_t word_base = 0;
+    uint64_t scatter_allocs = 0;  // growth of this chunk's scatter rows
+  };
+
+  void count_send(NodeId src);
 
   NetConfig config_;
   uint32_t cap_;
@@ -277,6 +311,7 @@ class Network {
   NetMemStats mem_;
   std::unique_ptr<Engine> inline_engine_;
   Engine* engine_ = nullptr;  // attached user engine, else inline_engine_
+  std::unique_ptr<OverlayScratch> overlay_scratch_;  // lazily created
   FaultHooks faults_;
   // Pending traffic as an ordered list of sorted runs: direct send()s append
   // to an open tail arena, stage_run() hands over closed per-shard arenas in
@@ -286,6 +321,7 @@ class Network {
   bool tail_open_ = false;  // runs_.back() accepts direct send()s
   std::vector<MsgArena> pool_;
   std::vector<uint32_t> send_count_;  // per-node sends this round
+  uint32_t round_max_send_ = 0;       // max send_count_ this round
   // Delivered inboxes, flat: headers for node u live at
   // inbox_hdr_[inbox_off_[u] .. +inbox_cnt_[u]) with payload words in
   // inbox_words_ (hdr.off indexes it). Rebuilt every end_round in place.
@@ -293,18 +329,21 @@ class Network {
   std::vector<uint64_t> inbox_words_;
   std::vector<uint64_t> inbox_off_;
   std::vector<uint32_t> inbox_cnt_;
+  uint64_t delivered_ = 0;  // headers in inbox_hdr_ delivered last round
   // Per-round delivery staging (members so capacity is reused):
   // scatter_[p * S + s] = global pending indices of chunk p's messages for
   // destination shard s, ascending (the counting-sort index pass).
   std::vector<std::vector<uint32_t>> scatter_;
-  // Per-node scratch for the count/placement passes. recv_seen_[u] ends as
-  // the full addressed (pre-drop) count, which the merged-view stats read;
-  // wsum_[u] is the node's inbox word budget during the count pass and is
-  // reused as its arrival counter during placement; word_off_[u] is the
-  // node's word cursor.
+  // Per-node scratch for the count/placement passes, zero between rounds
+  // except on last round's destinations (cleared at the next end_round).
+  // recv_seen_[u] is the addressed (pre-drop) count; wsum_[u] is the node's
+  // payload-word sum during the count pass and is reused as its arrival
+  // counter during placement; word_off_[u] is the node's word cursor.
   std::vector<uint32_t> recv_seen_;
   std::vector<uint32_t> wsum_;
   std::vector<uint64_t> word_off_;
+  std::vector<ShardAcc> acc_;         // one per delivery shard
+  std::vector<uint64_t> run_start_;   // global send-order offset per run
   HookId next_hook_id_ = 1;
   std::vector<Subscriber<DeliveryHook>> delivery_hooks_;
   std::vector<Subscriber<RoundHook>> round_hooks_;

@@ -8,6 +8,7 @@
 #include "common/assert.hpp"
 #include "common/flat_map.hpp"
 #include "overlay/cache.hpp"
+#include "overlay/scratch.hpp"
 #include "engine/engine.hpp"
 #include "obs/flow.hpp"
 #include "obs/tracer.hpp"
@@ -54,51 +55,6 @@ struct Prio {
   }
 };
 
-/// Tracks the max number of distinct groups observed at any overlay node.
-class CongestionTracker {
- public:
-  explicit CongestionTracker(uint64_t node_count) : seen_(node_count) {}
-
-  void visit(uint64_t node_index, uint64_t group) {
-    auto& s = seen_[node_index];
-    if (s.emplace(group, 1).second)
-      max_ = std::max<uint32_t>(max_, static_cast<uint32_t>(s.size()));
-  }
-  uint32_t max() const { return max_; }
-
- private:
-  // Insert + size only — never iterated, so the membership set is a FlatMap
-  // used as a set (value ignored).
-  std::vector<FlatMap<uint8_t>> seen_;
-  uint32_t max_ = 0;
-};
-
-/// Deduplicated worklist of routing-state indices; only nodes with work are
-/// visited each round, which keeps a round's cost proportional to the traffic
-/// rather than to the overlay size.
-class ActiveSet {
- public:
-  explicit ActiveSet(uint64_t node_count) : flag_(node_count, false) {}
-
-  void add(uint64_t idx) {
-    if (!flag_[idx]) {
-      flag_[idx] = true;
-      items_.push_back(idx);
-    }
-  }
-  /// Sorted snapshot for deterministic iteration; clears membership flags so
-  /// nodes re-add themselves if they still have work.
-  std::vector<uint64_t> take() {
-    std::sort(items_.begin(), items_.end());
-    for (uint64_t i : items_) flag_[i] = false;
-    return std::exchange(items_, {});
-  }
-
- private:
-  std::vector<bool> flag_;
-  std::vector<uint64_t> items_;
-};
-
 // The two directions of the token-drain core. For a routing state at
 // `level`, a direction names the level its packets and tokens move to
 // (`next`), the overlay level whose down-edges carry them (`link`: an up-edge
@@ -118,29 +74,23 @@ struct Direction {
 using Down = Direction<true>;
 using Up = Direction<false>;
 
-/// One group queued at a routing state: its (combined) value and the edges it
-/// still has to cross. A down packet has one bit, its greedy route_edge,
-/// fixed at deposit; an up packet carries its recorded up-edge mask.
-struct Entry {
-  Val val;
-  uint64_t edges;
-};
-
-/// Hash evaluations every node can compute from the shared randomness,
-/// cached per group: its rank and (going down) its destination column.
-struct GroupMeta {
-  NodeId dest;
-  uint64_t rank;
-};
-
 /// The router run in one direction: per round, every active state sends the
 /// min-(rank, group) entry on each of its edges and launches a token on every
 /// edge it will never use again; the run ends when the tokens drain. The
 /// direction-specific policies — what a packet arrival does (`arrive`) and
 /// what a state's token completion does (`token_done`) — are passed to run()
-/// and called only on the caller thread's sequential merge.
+/// and called only on the caller thread's sequential merge. All per-call
+/// state lives in the network's RouteScratch (overlay/scratch.hpp).
 template <class Dir>
 struct TokenDrain {
+  using Entry = RouteScratch::Entry;
+  using State = RouteScratch::State;
+  using GroupMeta = RouteScratch::GroupMeta;
+  using Move = RouteScratch::Move;
+  using RecordOp = RouteScratch::RecordOp;
+  using StepOut = RouteScratch::StepOut;
+  static constexpr uint32_t kNil = RouteScratch::kNil;
+
   const Overlay& topo;
   Network& net;
   RouteStats& stats;
@@ -148,114 +98,162 @@ struct TokenDrain {
   const std::function<NodeId(uint64_t)>* dest_col;  // null going up
   MulticastTrees* record;                           // null going up
   CombiningCache* cache;
+  RouteScratch& sc;
   // Per-call cache stats delta: all cache traffic runs at the sequential
   // merge points, so the delta is thread-count invariant.
-  const CombiningCache::Stats cache_before = cache ? cache->stats() : CombiningCache::Stats{};
-  const uint32_t final_level = topo.levels() - 1;
-  const NodeId cols = topo.columns();
-  FlatMap<GroupMeta> meta{};
-  std::vector<FlatMap<Entry>> queue = std::vector<FlatMap<Entry>>(topo.node_count());
+  const CombiningCache::Stats cache_before;
+  const uint32_t final_level;
+  const NodeId cols;
   uint64_t remaining = 0;  // edges still to cross, summed over all entries
-  ActiveSet active{topo.node_count()};
   // Tokens flow start -> terminal behind the packets, one per (state, edge).
-  // Each token message carries its edge index and tokens_recv tracks in-edges
-  // as a bitmask (in-degree == out-degree: generators are involutions), so
-  // duplicate deliveries — the stall heartbeat's resends — are idempotent.
-  std::vector<uint64_t> tokens_recv = std::vector<uint64_t>(topo.node_count(), 0);
-  std::vector<uint64_t> token_sent = std::vector<uint64_t>(topo.node_count(), 0);
-  uint64_t tokens_pending = token_count(topo);
+  uint64_t tokens_pending;
   // Packet and token moves applied at the merge; counted toward the round's
   // progress so the stall heartbeat only fires when the network truly
   // delivered nothing new.
   uint64_t progress = 0;
+  uint32_t congestion = 0;  // max distinct groups visiting one overlay node
+  // Per-level down-degree and its full edge mask, read once from the
+  // (virtual) overlay.
+  std::array<uint32_t, 64> degree{};
+  std::array<uint64_t, 64> full{};
 
-  struct Move {
-    uint32_t level;  // destination level
-    NodeId col;
-    uint64_t group;
-    Val val;
-    bool is_token;
-    uint32_t edge;  // token in-edge index
-  };
-  struct RecordOp {
-    uint64_t cidx;
-    uint64_t group;
-    uint64_t bit;
-  };
-  /// One shard's staged step effects, merged in shard order.
-  struct StepOut {
-    MsgArena sends;
-    std::vector<Move> local;
-    std::vector<RecordOp> rec;
-    std::vector<uint64_t> readd;
-    uint64_t moved = 0, tokens = 0;
-  };
+  TokenDrain(const Overlay& t, Network& nw, RouteStats& st,
+             const std::function<uint64_t(uint64_t)>& rk,
+             const std::function<NodeId(uint64_t)>* dc, MulticastTrees* rec,
+             CombiningCache* ch)
+      : topo(t), net(nw), stats(st), rank(rk), dest_col(dc), record(rec), cache(ch),
+        sc(nw.overlay_scratch().route),
+        cache_before(ch ? ch->stats() : CombiningCache::Stats{}),
+        final_level(t.levels() - 1), cols(t.columns()), tokens_pending(token_count(t)) {
+    NCC_ASSERT(t.node_count() <= UINT32_MAX && t.overlay_node_count() <= UINT32_MAX);
+    NCC_ASSERT(t.levels() <= degree.size());
+    for (uint32_t l = 0; l + 1 < t.levels(); ++l) {
+      degree[l] = t.down_degree(l);
+      full[l] = (uint64_t{1} << degree[l]) - 1;
+    }
+    sc.begin(t.node_count(), t.overlay_node_count(), nw.engine().threads());
+  }
+  ~TokenDrain() { sc.end(); }
+  TokenDrain(const TokenDrain&) = delete;
+  TokenDrain& operator=(const TokenDrain&) = delete;
 
   /// Metadata of `g`, computed on first sight. Only the sequential merge
-  /// inserts, so the parallel step loop reads a frozen map.
-  const GroupMeta& group(uint64_t g) {
-    auto [slot, fresh] = meta.emplace(g, {});
+  /// inserts; the parallel step reads the rank cached in each entry.
+  GroupMeta group(uint64_t g) {
+    auto [slot, fresh] = sc.meta.emplace(0, g, {});
     if (fresh) *slot = {dest_col ? (*dest_col)(g) : 0, rank(g)};
     NCC_ASSERT(slot->dest < cols);
     return *slot;
   }
 
-  /// Queue group `g` at state `idx` to cross `edges` and activate the state.
-  /// If the group is already queued there, its entry is returned untouched
-  /// (second == false) for the caller to combine into or reject.
-  std::pair<Entry*, bool> push(uint64_t idx, uint64_t g, const Val& v, uint64_t edges) {
-    auto [slot, fresh] = queue[idx].emplace(g, Entry{v, edges});
-    if (fresh) remaining += std::popcount(edges);
-    active.add(idx);
-    return {slot, fresh};
+  /// Record that state `idx` differs from its reset value.
+  State& touch(uint64_t idx) {
+    State& st = sc.states[idx];
+    if (!st.touched) {
+      st.touched = true;
+      sc.touched.push_back(idx);
+    }
+    return st;
+  }
+  void activate(uint64_t idx) {
+    touch(idx);
+    sc.active.add(idx);
   }
 
-  uint64_t full_mask(uint32_t link) const { return (uint64_t{1} << topo.down_degree(link)) - 1; }
+  /// Count a visit of `group` to overlay node `node` (route_down's
+  /// congestion measure: distinct groups per node).
+  void visit(uint64_t node, uint64_t g) {
+    if (!sc.visits[node % RouteScratch::kVisitParts].emplace(static_cast<uint32_t>(node), g, {}).second)
+      return;
+    uint32_t& c = sc.visit_count[node];
+    if (c++ == 0) sc.visited.push_back(node);
+    congestion = std::max(congestion, c);
+  }
+
+  /// True while group `g` is queued at state `idx`.
+  bool queued(uint64_t idx, uint64_t g) {
+    return sc.pending.find(static_cast<uint32_t>(idx), g) != nullptr;
+  }
+
+  /// Queue group `g` (rank `rk`) at state `idx` to cross `edges` (nonzero)
+  /// and activate the state. If the group is already queued there, its entry
+  /// is returned untouched (second == false) for the caller to combine into
+  /// or reject. The pointer is valid until the next push.
+  std::pair<Entry*, bool> push(uint64_t idx, uint64_t g, uint64_t rk, const Val& v,
+                               uint64_t edges) {
+    NCC_ASSERT(edges != 0 && sc.entries.size() < kNil);
+    const uint32_t free_id = sc.free_entries.empty() ? static_cast<uint32_t>(sc.entries.size())
+                                                     : sc.free_entries.back();
+    auto [id, fresh] = sc.pending.emplace(static_cast<uint32_t>(idx), g, free_id);
+    State& st = touch(idx);
+    sc.active.add(idx);
+    if (!fresh) return {&sc.entries[*id], false};
+    const Entry en{g, rk, v, edges, static_cast<uint32_t>(idx), st.head};
+    if (free_id == sc.entries.size()) {
+      sc.entries.push_back(en);
+    } else {
+      sc.free_entries.pop_back();
+      sc.entries[free_id] = en;
+    }
+    st.head = free_id;
+    remaining += std::popcount(edges);
+    return {&sc.entries[free_id], true};
+  }
+
   /// True once every in-edge token arrived (start-level states: at once).
   bool token_ready(uint64_t idx) const {
     uint32_t level = static_cast<uint32_t>(idx / cols);
     return level == Dir::start(final_level) ||
-           tokens_recv[idx] == full_mask(Dir::in_link(level));
+           sc.states[idx].tokens_recv == full[Dir::in_link(level)];
   }
 
-  // One shard's slice of the step: each item only mutates its own queue and
-  // token state, and every cross-node effect (sends, straight-edge moves,
-  // tree records, counters, re-activation) is staged in `out`.
-  void step(StepOut& out, const std::vector<uint64_t>& items, uint64_t ib, uint64_t ie) {
-    // Per-edge contention winners, live where `wanted` has the edge's bit —
-    // so no per-item reset of the 62-slot array on the router's hottest path.
-    std::array<Prio, kMaxDegree> best;
+  // One shard's slice of the step: each item only mutates its own state and
+  // the entries on its list, and every cross-node effect (sends,
+  // straight-edge moves, tree records, counters, re-activation) is staged in
+  // `out`.
+  void step(StepOut& out, uint64_t ib, uint64_t ie) {
+    // Per-edge contention winners (entry index), live where `wanted` has the
+    // edge's bit — so no per-item reset of the 62-slot array on the router's
+    // hottest path.
+    struct Best {
+      Prio prio;
+      uint32_t entry;
+    };
+    std::array<Best, kMaxDegree> best;
     for (uint64_t ii = ib; ii < ie; ++ii) {
-      const uint64_t idx = items[ii];
+      const uint64_t idx = sc.items[ii];
       const uint32_t level = static_cast<uint32_t>(idx / cols);
       const NodeId col = static_cast<NodeId>(idx % cols);
       NCC_ASSERT(level != Dir::terminal(final_level));  // terminal states never enqueue work
       const uint32_t link = Dir::link(level), next = Dir::next(level);
-      FlatMap<Entry>& q = queue[idx];
+      State& st = sc.states[idx];
       // The winner is the min by (rank, group) — a total order — so it does
-      // not depend on the queue's iteration order.
+      // not depend on the list order.
       uint64_t wanted = 0;
-      q.for_each([&](uint64_t g, const Entry& en) {
-        const Prio p{meta.find(g)->rank, g};
+      for (uint32_t i = st.head; i != kNil; i = sc.entries[i].next) {
+        const Entry& en = sc.entries[i];
+        const Prio p{en.rank, en.group};
         for (uint64_t mask = en.edges; mask; mask &= mask - 1) {
           const uint32_t e = static_cast<uint32_t>(std::countr_zero(mask));
-          if (!(wanted >> e & 1) || p < best[e]) best[e] = p;
+          if (!(wanted >> e & 1) || p < best[e].prio) best[e] = {p, i};
           wanted |= uint64_t{1} << e;
         }
-      });
+      }
       // Every wanted edge carries its winner this round.
+      bool cleared = false;
       for (uint64_t mask = wanted; mask; mask &= mask - 1) {
         const uint32_t e = static_cast<uint32_t>(std::countr_zero(mask));
-        const uint64_t bit = uint64_t{1} << e, g = best[e].group;
-        Entry* en = q.find(g);
-        const Val v = en->val;
-        en->edges &= ~bit;
-        if (en->edges == 0) q.erase(g);
+        const uint64_t bit = uint64_t{1} << e;
+        Entry& en = sc.entries[best[e].entry];
+        const uint64_t g = en.group;
+        const Val v = en.val;
+        en.edges &= ~bit;
+        cleared |= en.edges == 0;
         ++out.moved;
         const NodeId ncol = topo.down_column(link, col, e);
         // Record the reverse (up) edge at the child for the multicast tree.
         // The child may belong to another shard, so stage the op.
-        if (record) out.rec.push_back({topo.index(next, ncol), g, bit});
+        if (record) out.rec.push_back({uint64_t{next} * cols + ncol, g, bit});
         if (e == 0) {
           out.local.push_back({next, ncol, g, v, false, 0});
         } else {
@@ -263,14 +261,28 @@ struct TokenDrain {
                                  {g, v[0], v[1]}));
         }
       }
+      // Unlink the entries that crossed their last edge; the merge drops
+      // them from the (shared) table.
+      if (cleared) {
+        uint32_t* link_to = &st.head;
+        while (*link_to != kNil) {
+          Entry& en = sc.entries[*link_to];
+          if (en.edges == 0) {
+            out.cleared.push_back(*link_to);
+            *link_to = en.next;
+          } else {
+            link_to = &en.next;
+          }
+        }
+      }
       // A packet remaining at the node means another packet of its group may
       // still arrive and combine; the token waits for the edge to clear.
       const bool ready = token_ready(idx);
-      const uint32_t deg = topo.down_degree(link);
+      const uint32_t deg = degree[link];
       for (uint32_t e = 0; ready && e < deg; ++e) {
         const uint64_t bit = uint64_t{1} << e;
-        if ((wanted | token_sent[idx]) & bit) continue;
-        token_sent[idx] |= bit;
+        if ((wanted | st.token_sent) & bit) continue;
+        st.token_sent |= bit;
         ++out.tokens;
         const NodeId ncol = topo.down_column(link, col, e);
         if (e == 0) {
@@ -279,7 +291,7 @@ struct TokenDrain {
           out.sends.push(Message(topo.host(col), topo.host(ncol), Dir::kToken | next, {e}));
         }
       }
-      if (!q.empty() || (ready && token_sent[idx] != full_mask(link))) out.readd.push_back(idx);
+      if (st.head != kNil || (ready && st.token_sent != full[link])) out.readd.push_back(idx);
     }
   }
 
@@ -288,11 +300,11 @@ struct TokenDrain {
   // arrival is a bitmask OR, so duplicates are free; a reliable network moves
   // a packet or token every round and never gets here.
   void resend_tokens() {
-    for (uint64_t idx = 0; idx < token_sent.size(); ++idx) {
+    for (uint64_t idx = 0; idx < sc.states.size(); ++idx) {
       const uint32_t level = static_cast<uint32_t>(idx / cols);
       const NodeId col = static_cast<NodeId>(idx % cols);
       // Bit 0 is the straight edge: its token is local and never lost.
-      for (uint64_t mask = token_sent[idx] & ~uint64_t{1}; mask; mask &= mask - 1) {
+      for (uint64_t mask = sc.states[idx].token_sent & ~uint64_t{1}; mask; mask &= mask - 1) {
         const uint32_t e = static_cast<uint32_t>(std::countr_zero(mask));
         const NodeId ncol = topo.down_column(Dir::link(level), col, e);
         net.send(topo.host(col), topo.host(ncol), Dir::kToken | Dir::next(level), {e});
@@ -304,11 +316,8 @@ struct TokenDrain {
   template <class Arrive, class TokenDone>
   void run(Arrive&& arrive, TokenDone&& token_done) {
     const uint32_t terminal = Dir::terminal(final_level);
-    for (NodeId c = 0; c < cols; ++c) active.add(topo.index(Dir::start(final_level), c));
-    std::vector<StepOut> outs(net.engine().threads());
-    std::vector<std::vector<Move>> arrivals(outs.size());
-    std::vector<Move> local;
-    std::vector<uint64_t> items;
+    Engine& eng = net.engine();
+    for (NodeId c = 0; c < cols; ++c) activate(topo.index(Dir::start(final_level), c));
 
     auto apply = [&](const Move& mv) {
       if (!mv.is_token) {
@@ -317,15 +326,16 @@ struct TokenDrain {
         return;
       }
       if (mv.level == terminal) return;  // terminal tokens end here
-      const uint64_t idx = topo.index(mv.level, mv.col);
+      const uint64_t idx = uint64_t{mv.level} * cols + mv.col;
       const uint64_t bit = uint64_t{1} << mv.edge;
-      if (!(tokens_recv[idx] & bit)) {
-        tokens_recv[idx] |= bit;
+      State& st = touch(idx);
+      if (!(st.tokens_recv & bit)) {
+        st.tokens_recv |= bit;
         ++progress;
         if (token_ready(idx)) token_done(idx);
       }
-      if (token_ready(idx) && token_sent[idx] != full_mask(Dir::link(mv.level)))
-        active.add(idx);
+      if (token_ready(idx) && st.token_sent != full[Dir::link(mv.level)])
+        sc.active.add(idx);
     };
 
     bool first_round = true;
@@ -335,21 +345,26 @@ struct TokenDrain {
       progress = 0;
 
       // The step runs shard-parallel over the active states and stages its
-      // sends in pooled network arenas (acquired here, on the caller thread);
-      // the merge hands them over zero-copy in shard order — the sequential
-      // send order, as in Engine::send_loop — and applies the other staged
-      // effects in the same order.
-      items = active.take();
-      for (StepOut& out : outs) out.sends = net.acquire_arena();
-      net.engine().ranges(items.size(), [&](uint32_t s, uint64_t ib, uint64_t ie) {
-        step(outs[s], items, ib, ie);
-      });
-      local.clear();
-      for (StepOut& out : outs) {
+      // sends in pooled network arenas (acquired here, on the caller thread,
+      // one per shard the step runs); the merge hands them over zero-copy in
+      // shard order — the sequential send order, as in Engine::send_loop —
+      // and applies the other staged effects in the same order.
+      sc.active.take(sc.items);
+      const uint32_t shards = eng.shards_for(sc.items.size());
+      for (uint32_t s = 0; s < shards; ++s) sc.outs[s].sends = net.acquire_arena();
+      eng.ranges(sc.items.size(),
+                 [&](uint32_t s, uint64_t ib, uint64_t ie) { step(sc.outs[s], ib, ie); });
+      sc.local.clear();
+      for (uint32_t s = 0; s < shards; ++s) {
+        StepOut& out = sc.outs[s];
         net.stage_run(std::move(out.sends));
-        local.insert(local.end(), out.local.begin(), out.local.end());
+        sc.local.insert(sc.local.end(), out.local.begin(), out.local.end());
         for (const RecordOp& op : out.rec) record->children[op.cidx][op.group] |= op.bit;
-        for (uint64_t idx : out.readd) active.add(idx);
+        for (uint64_t idx : out.readd) activate(idx);
+        for (uint32_t id : out.cleared) {
+          sc.pending.erase(sc.entries[id].state, sc.entries[id].group);
+          sc.free_entries.push_back(id);
+        }
         stats.packets_moved += out.moved;
         progress += out.moved + out.tokens;
         remaining -= out.moved;
@@ -357,20 +372,21 @@ struct TokenDrain {
         out.local.clear();
         out.rec.clear();
         out.readd.clear();
+        out.cleared.clear();
         out.moved = out.tokens = 0;
       }
 
       net.end_round();
       ++stats.rounds;
 
-      for (const Move& mv : local) apply(mv);
+      for (const Move& mv : sc.local) apply(mv);
       // Arrival scan, sharded over host columns: each shard decodes its
       // columns' inboxes into staged moves; the merge applies them in shard
       // order, which concatenates back to the sequential column-ascending
       // scan order — so arrivals (which touch shared routing state) stay on
       // the caller thread and bit-identical for any shard count.
-      net.engine().ranges(cols, [&](uint32_t s, uint64_t ub, uint64_t ue) {
-        std::vector<Move>& arr = arrivals[s];
+      eng.ranges(cols, [&](uint32_t s, uint64_t ub, uint64_t ue) {
+        std::vector<Move>& arr = sc.arrivals[s];
         for (uint64_t u = ub; u < ue; ++u) {
           for (const Message& m : net.inbox(static_cast<NodeId>(u))) {
             // Tags carry the destination level in the low byte.
@@ -389,9 +405,9 @@ struct TokenDrain {
           }
         }
       });
-      for (std::vector<Move>& arr : arrivals) {
-        for (const Move& mv : arr) apply(mv);
-        arr.clear();
+      for (uint32_t s = 0, n = eng.shards_for(cols); s < n; ++s) {
+        for (const Move& mv : sc.arrivals[s]) apply(mv);
+        sc.arrivals[s].clear();
       }
     }
 
@@ -428,8 +444,7 @@ DownResult route_down(const Overlay& topo, Network& net,
   NCC_ASSERT(at_col.size() == cols);
 
   DownResult result;
-  TokenDrain<Down> core{topo, net, result.stats, rank, &dest_col, record, cache};
-  CongestionTracker congestion(topo.overlay_node_count());
+  TokenDrain<Down> core(topo, net, result.stats, rank, &dest_col, record, cache);
   // Dedup index into record->cache_roots: later hits of a group at the same
   // state OR their subtree masks into the root recorded by the first hit.
   std::map<std::pair<uint64_t, uint64_t>, size_t> croot_at;
@@ -440,8 +455,8 @@ DownResult route_down(const Overlay& topo, Network& net,
     NCC_ASSERT(e < topo.down_degree(level));
     return e;
   };
-  auto enqueue = [&](uint64_t idx, uint32_t edge, uint64_t g, const Val& v) {
-    auto [slot, fresh] = core.push(idx, g, v, uint64_t{1} << edge);
+  auto enqueue = [&](uint64_t idx, uint32_t edge, uint64_t g, uint64_t rk, const Val& v) {
+    auto [slot, fresh] = core.push(idx, g, rk, v, uint64_t{1} << edge);
     if (!fresh) {
       slot->val = combine(slot->val, v);
       ++result.stats.combines;
@@ -453,8 +468,8 @@ DownResult route_down(const Overlay& topo, Network& net,
   // evictions are bit-identical across engine thread counts.
   auto deposit = [&](uint32_t level, NodeId col, uint64_t group, const Val& v) {
     const uint64_t idx = topo.index(level, col);
-    congestion.visit(topo.overlay_node(level, col), group);
-    const NodeId dest = core.group(group).dest;
+    core.visit(topo.overlay_node(level, col), group);
+    const auto [dest, rk] = core.group(group);
     const uint32_t edge = level == F ? 0 : edge_of(level, col, dest);
     // Serving-side cache hit (tree setup only): the state holds this group's
     // payload, so the request ends here. Snapshot-and-clear the subtree
@@ -506,17 +521,19 @@ DownResult route_down(const Overlay& topo, Network& net,
     // absorber instead of climbing separately; its mass re-enters the queue
     // at this state's token-completion transition. A packet whose group is
     // still queued here just combines.
-    if (cache && !record && level >= 1 && !core.queue[idx].find(group)) {
+    if (cache && !record && level >= 1 && !core.queued(idx, group)) {
       if (cache->absorb(idx, group, v, combine)) return;
-      enqueue(idx, edge, group, v);
+      enqueue(idx, edge, group, rk, v);
       // Arm only while more packets can still arrive (tokens incomplete): an
       // absorber armed after the flush transition would never drain.
       CombiningCache::Flushed ev;
-      if (!core.token_ready(idx) && cache->arm_absorber(idx, group, &ev))
-        enqueue(idx, edge_of(level, col, core.group(ev.group).dest), ev.group, ev.val);
+      if (!core.token_ready(idx) && cache->arm_absorber(idx, group, &ev)) {
+        const auto [ev_dest, ev_rank] = core.group(ev.group);
+        enqueue(idx, edge_of(level, col, ev_dest), ev.group, ev_rank, ev.val);
+      }
       return;
     }
-    enqueue(idx, edge, group, v);
+    enqueue(idx, edge, group, rk, v);
   };
   // Token completion is the absorber drain point: every value parked at the
   // state re-enters its queue here, exactly once, so aggregates stay exact.
@@ -526,8 +543,10 @@ DownResult route_down(const Overlay& topo, Network& net,
     const NodeId col = static_cast<NodeId>(idx % cols);
     flush_buf.clear();
     cache->flush_absorbers(idx, &flush_buf);
-    for (const CombiningCache::Flushed& f : flush_buf)
-      enqueue(idx, edge_of(level, col, core.group(f.group).dest), f.group, f.val);
+    for (const CombiningCache::Flushed& f : flush_buf) {
+      const auto [f_dest, f_rank] = core.group(f.group);
+      enqueue(idx, edge_of(level, col, f_dest), f.group, f_rank, f.val);
+    }
   };
 
   // Initialize the tree record before the first deposits: the serving-hit
@@ -542,8 +561,8 @@ DownResult route_down(const Overlay& topo, Network& net,
 
   core.run(deposit, flush);
 
-  result.stats.congestion = congestion.max();
-  if (record) record->congestion = congestion.max();
+  result.stats.congestion = core.congestion;
+  if (record) record->congestion = core.congestion;
   return result;
 }
 
@@ -561,13 +580,13 @@ UpResult route_up(const Overlay& topo, Network& net, const MulticastTrees& trees
 
   UpResult result;
   result.at_col.assign(cols, {});
-  TokenDrain<Up> core{topo, net, result.stats, rank, nullptr, nullptr, cache};
+  TokenDrain<Up> core(topo, net, result.stats, rank, nullptr, nullptr, cache);
 
   // A state serves each group along the remaining recorded up-edges of its
   // entry (bit e = reverse of down-edge e of the level below).
   auto arrive = [&](uint32_t level, NodeId col, uint64_t group, const Val& v) {
     const uint64_t idx = topo.index(level, col);
-    core.group(group);
+    const uint64_t rk = core.group(group).rank;
     if (flows) flows->record_hop(group, /*up=*/true, level, 0, topo.host(col), net.rounds());
     if (level == 0) {
       // Admission point: every state the payload passes (leaves included)
@@ -589,7 +608,7 @@ UpResult route_up(const Overlay& topo, Network& net, const MulticastTrees& trees
       ++result.stats.misrouted;
       return;
     }
-    if (!core.push(idx, group, v, *mask).second) {
+    if (!core.push(idx, group, rk, v, *mask).second) {
       // Duplicate arrival for a group already being served at this node:
       // same story — only a corrupted group id can collide like this.
       NCC_ASSERT_MSG(net.corruption_possible(),
@@ -622,7 +641,7 @@ UpResult route_up(const Overlay& topo, Network& net, const MulticastTrees& trees
   for (const MulticastTrees::CacheRoot& cr : trees.cache_roots) {
     const uint32_t level = static_cast<uint32_t>(cr.idx / cols);
     const NodeId col = static_cast<NodeId>(cr.idx % cols);
-    core.group(cr.group);
+    const uint64_t rk = core.group(cr.group).rank;
     if (flows)
       flows->record_hop(cr.group, /*up=*/true, level, 0, topo.host(col), net.rounds(),
                         /*cache_hit=*/true);
@@ -632,7 +651,7 @@ UpResult route_up(const Overlay& topo, Network& net, const MulticastTrees& trees
       continue;
     }
     if (cr.mask == 0) continue;  // nothing recorded below this state
-    if (!core.push(cr.idx, cr.group, cr.val, cr.mask).second) {
+    if (!core.push(cr.idx, cr.group, rk, cr.val, cr.mask).second) {
       // Roots are deduplicated per (idx, group) at record time, so a
       // collision means a corrupted id — count it, don't abort (the same
       // contract as arrive()).

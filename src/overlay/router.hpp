@@ -29,6 +29,16 @@
 // token every round), nodes re-send the tokens they already launched, so a
 // healed partition or a lossy link stalls the drain instead of jamming it
 // forever.
+//
+// Per-call state (pending entries, token masks, the active frontier, group
+// metadata, congestion visits, step and arrival staging) lives in the
+// RouteScratch of overlay/scratch.hpp, which the Network owns: created on
+// the network's first route call, reused by every later one, destroyed with
+// the network. A call resets only what the previous call touched (the
+// routing states on its touched list, the overlay nodes it counted, the
+// hash tables by epoch), so its fixed cost is O(states touched) rather than
+// an O(node_count) allocation; containers past 256 KiB are released when
+// their call ends. Route calls on one network must not nest.
 #pragma once
 
 #include <array>

@@ -3,6 +3,7 @@
 #include "common/assert.hpp"
 #include "engine/engine.hpp"
 #include "obs/tracer.hpp"
+#include "overlay/scratch.hpp"
 
 namespace ncc {
 
@@ -156,14 +157,23 @@ uint64_t sync_barrier(const Overlay& topo, Network& net) {
   });
   net.end_round();
 
-  std::vector<uint64_t> weight(cols);
-  std::vector<uint64_t> next(cols);
-  std::vector<uint8_t> present(cols, 1);  // every host holds its own input
-  std::vector<uint8_t> present_next(cols);
+  // Column-sized vectors reused across calls (the network's
+  // BarrierScratch, overlay/scratch.hpp): steady-state barriers allocate
+  // nothing.
+  BarrierScratch& sc = net.overlay_scratch().barrier;
+  std::vector<uint64_t>& weight = sc.weight;
+  std::vector<uint64_t>& next = sc.next;
+  std::vector<uint8_t>& present = sc.present;
+  std::vector<uint8_t>& present_next = sc.present_next;
+  weight.resize(cols);
+  next.resize(cols);
+  present.assign(cols, 1);  // every host holds its own input
+  present_next.resize(cols);
   // Parent of each column under the step being processed, written once per
   // step inside the (per-item, parallel-safe) send loop and reused by the
   // merge/informed passes — one virtual tree lookup per column per step.
-  std::vector<NodeId> parent(cols);
+  std::vector<NodeId>& parent = sc.parent;
+  parent.resize(cols);
   net.engine().for_each(cols, [&](uint64_t ci) {
     NodeId c = static_cast<NodeId>(ci);
     uint64_t w = 1;  // the hosting node's own input
@@ -206,9 +216,11 @@ uint64_t sync_barrier(const Overlay& topo, Network& net) {
 
   // Broadcast of the total back down the reversed tree (child-major, as in
   // the general primitive).
-  std::vector<uint8_t> informed(cols, 0);
+  std::vector<uint8_t>& informed = sc.informed;
+  std::vector<uint8_t>& informed_next = sc.informed_next;
+  informed.assign(cols, 0);
   informed[0] = 1;
-  std::vector<uint8_t> informed_next(cols);
+  informed_next.resize(cols);
   for (uint32_t b = 0; b < steps; ++b) {
     uint32_t i = steps - 1 - b;
     net.engine().send_loop(cols, [&](uint64_t ci, MsgSink& out) {

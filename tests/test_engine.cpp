@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <numeric>
 #include <optional>
+#include <tuple>
 #include <type_traits>
 
 #include "common/bits.hpp"
@@ -180,6 +182,71 @@ TEST(Network, ParallelDeliveryBitIdenticalUnderOverload) {
   EXPECT_EQ(seq, two);
   EXPECT_EQ(seq, eight);
   EXPECT_GT(std::get<2>(seq), 0u);  // the overload actually dropped messages
+}
+
+TEST(Network, StaleInboxesCloseUnderEveryDeliveryLayout) {
+  // end_round visits only the nodes a round touches, so it must still empty
+  // the inbox of a node that received last round and gets nothing now. The
+  // schedule alternates wide rounds (an overloaded destination, so the
+  // reservoir drops) with narrow and empty ones, under a delivery hook; every
+  // thread count and delivery cutoff must see the same inboxes and stream.
+  constexpr NodeId kN = 64;
+  // Destinations per round: round r sends from every node in [1, senders)
+  // to dst(r, u); node 0 is the overload target of the wide rounds.
+  auto dsts_of = [](int round, NodeId u) -> std::vector<NodeId> {
+    switch (round % 4) {
+      case 0:  // wide: everyone floods node 0, half also hit a neighbour
+        return u % 2 ? std::vector<NodeId>{0, static_cast<NodeId>((u + 1) % kN)}
+                     : std::vector<NodeId>{0};
+      case 1:  // narrow: one sender, one destination
+        return u == 3 ? std::vector<NodeId>{40} : std::vector<NodeId>{};
+      case 2:  // empty round
+        return {};
+      default:  // a few destinations nobody used before
+        return u < 5 ? std::vector<NodeId>{static_cast<NodeId>(50 + u)} : std::vector<NodeId>{};
+    }
+  };
+  using Snapshot = std::vector<std::vector<std::array<uint64_t, 3>>>;  // per node: (src, tag, w0)
+  auto run = [&](uint32_t threads, uint64_t cutoff) {
+    Network net(net_cfg(kN, 7, 1));
+    std::optional<Engine> eng;
+    if (threads > 0) {
+      EngineConfig cfg = eager(threads);
+      cfg.delivery_cutoff = cutoff;
+      eng.emplace(net, cfg);
+    }
+    std::vector<std::array<uint64_t, 3>> stream;  // (round, dst, src) in hook order
+    net.add_delivery_hook(
+        [&](const Message& m, uint64_t round) { stream.push_back({round, m.dst, m.src}); });
+    std::vector<Snapshot> rounds;
+    for (int round = 0; round < 9; ++round) {
+      net.engine().send_loop(kN - 1, [&](uint64_t i, MsgSink& out) {
+        const NodeId u = static_cast<NodeId>(i + 1);
+        for (NodeId d : dsts_of(round, u))
+          if (d != u) out.send(u, d, static_cast<uint32_t>(round), {u * 1000 + d});
+      });
+      net.end_round();
+      Snapshot snap(kN);
+      for (NodeId u = 0; u < kN; ++u) {
+        bool addressed = false;
+        for (NodeId v = 1; v < kN; ++v)
+          for (NodeId d : dsts_of(round, v)) addressed |= d == u && v != u;
+        EXPECT_EQ(net.inbox(u).empty(), !addressed) << "node " << u << " round " << round;
+        for (const Message& m : net.inbox(u)) {
+          EXPECT_EQ(m.tag, static_cast<uint32_t>(round));  // never a stale message
+          snap[u].push_back({m.src, m.tag, m.word(0)});
+        }
+      }
+      rounds.push_back(std::move(snap));
+    }
+    NetStats st = net.stats();
+    return std::make_tuple(rounds, stream, st.messages_dropped, st.max_recv_load);
+  };
+  const auto want = run(0, 1);
+  EXPECT_GT(std::get<2>(want), 0u);  // the wide rounds overloaded node 0
+  for (uint32_t threads : {0u, 2u, 8u})
+    for (uint64_t cutoff : {uint64_t{1}, EngineConfig{}.delivery_cutoff})
+      EXPECT_EQ(run(threads, cutoff), want) << threads << " threads, cutoff " << cutoff;
 }
 
 TEST(Network, ResetStatsClearsDeliveryStaging) {

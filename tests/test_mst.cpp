@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <tuple>
 
 #include "baselines/sequential.hpp"
 #include "core/mst.hpp"
+#include "engine/engine.hpp"
 #include "graph/generators.hpp"
 
 using namespace ncc;
@@ -136,4 +139,32 @@ TEST(Mst, FindMinPinnedAcrossArityAndTrials) {
     EXPECT_EQ(res.total_weight, pin.total_weight);
     EXPECT_EQ(h, pin.out_hash);
   }
+}
+
+// MST on a sharded engine: every loop and every delivery runs multi-shard
+// (cutoffs 1), so the router's reused scratch, the barrier and end_round are
+// exercised with real parallelism. Outputs and every NetStats counter must
+// match the single-thread run exactly.
+TEST(Mst, IdenticalAcrossThreadCounts) {
+  Rng rng(41);
+  const Graph g = with_random_weights(gnm_graph(96, 240, rng), 1u << 6, rng);
+  // Arity 4 cuts FindMin's iterations (and the runtime of the sharded
+  // passes) without changing what is compared.
+  const MstParams params{.trials = 40, .search_arity = 4};
+  auto run = [&](uint32_t threads) {
+    Network net(NetConfig{.n = g.n(), .capacity_factor = 8, .strict_send = true, .seed = 9});
+    std::optional<Engine> eng;
+    if (threads > 1)
+      eng.emplace(net, EngineConfig{.threads = threads, .loop_cutoff = 1, .delivery_cutoff = 1});
+    Shared shared(g.n(), 9);
+    MstResult res = run_mst(shared, net, g, params, 9);
+    const NetStats& st = net.stats();
+    return std::make_tuple(res.edges, res.known_by, res.total_weight, res.leader, st.rounds,
+                           st.charged_rounds, st.messages_sent, st.messages_dropped,
+                           st.max_send_load, st.max_recv_load, st.send_violations);
+  };
+  const auto one = run(1);
+  EXPECT_EQ(std::get<2>(one), kruskal_msf(g).total_weight);
+  EXPECT_EQ(run(4), one);
+  EXPECT_EQ(run(8), one);
 }

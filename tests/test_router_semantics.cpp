@@ -5,6 +5,8 @@
 // (rounds, messages, RouteStats, result and delivered-message digests) on a
 // 2-edge and a 2d-1-edge overlay, on the network's inline threads=1 engine
 // and on an attached multi-shard one, and with a stall window that forces the token heartbeat in both directions.
+// ScratchIsolatedAcrossCalls replays the sequence back to back on one
+// network, whose reused router scratch must not leak from call to call.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -189,22 +191,27 @@ uint64_t digest(const std::vector<std::vector<AggPacket>>& at_col) {
   return h;
 }
 
-/// Runs the fixed call sequence — route_down plain, recording, route_up over
-/// the trees (admitting into a cache), a second recording wave that hits
-/// that cache, route_up over its cache roots, and an absorbing descent —
-/// and returns one CallPin per call. `stall` drops every message for a few
-/// rounds early in each call, so the drain stalls and the heartbeat resends.
-std::vector<CallPin> run_pinned(OverlayKind kind, bool engine, bool stall) {
-  constexpr NodeId kN = 64;
-  Network net(NetConfig{.n = kN, .capacity_factor = 8, .strict_send = true, .seed = 5});
-  std::unique_ptr<Overlay> topo = make_overlay(kind, kN);
-  std::optional<Engine> eng;
-  if (engine) eng.emplace(net, EngineConfig{.threads = 4, .loop_cutoff = 1, .delivery_cutoff = 1});
+constexpr NodeId kPinnedN = 64;
+
+Network pinned_network() {
+  return Network(NetConfig{.n = kPinnedN, .capacity_factor = 8, .strict_send = true, .seed = 5});
+}
+
+/// Runs the fixed call sequence on `net` — route_down plain, recording,
+/// route_up over the trees (admitting into a cache), a second recording wave
+/// that hits that cache, route_up over its cache roots, and an absorbing
+/// descent — and returns one CallPin per call. `stall` drops every message
+/// for a few rounds early in each call, so the drain stalls and the
+/// heartbeat resends. Rounds are counted from the sequence's start, so a
+/// network that already ran other traffic reproduces a fresh one's pins.
+std::vector<CallPin> run_sequence(Network& net, OverlayKind kind, bool stall) {
+  std::unique_ptr<Overlay> topo = make_overlay(kind, kPinnedN);
   const NodeId cols = topo->columns();
+  const uint64_t base = net.rounds();
 
   uint64_t delivered = 0;
   Network::HookId hook = net.add_delivery_hook([&](const Message& m, uint64_t round) {
-    delivered = fold(fold(fold(fold(delivered, round), m.src), m.dst), m.tag);
+    delivered = fold(fold(fold(fold(delivered, round - base), m.src), m.dst), m.tag);
     for (uint8_t w = 0; w < m.nwords; ++w) delivered = fold(delivered, m.words[w]);
   });
   uint64_t stall_from = UINT64_MAX;
@@ -276,7 +283,17 @@ std::vector<CallPin> run_pinned(OverlayKind kind, bool engine, bool stall) {
   end_call(absorbed.stats, digest(absorbed.root_values));
 
   net.remove_delivery_hook(hook);
+  net.clear_fault_hooks();
   return pins;
+}
+
+/// The sequence on a fresh network, inline (t1) or on an attached
+/// multi-shard engine.
+std::vector<CallPin> run_pinned(OverlayKind kind, bool engine, bool stall) {
+  Network net = pinned_network();
+  std::optional<Engine> eng;
+  if (engine) eng.emplace(net, EngineConfig{.threads = 4, .loop_cutoff = 1, .delivery_cutoff = 1});
+  return run_sequence(net, kind, stall);
 }
 
 std::string format_pins(const std::vector<CallPin>& pins) {
@@ -312,46 +329,83 @@ void expect_pinned(OverlayKind kind, bool stall, const std::vector<CallPin>& wan
 
 }  // namespace
 
-TEST(RouterPinned, Butterfly) {
-  expect_pinned(OverlayKind::kButterfly, false, {
+namespace {
+
+// The pinned rows: one CallPin per call of run_sequence on a fresh network.
+const std::vector<CallPin> kButterflyPins = {
       {12ull, 997ull, 8ull, 1203ull, 264ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 7442771131522761753ull, 18167103674681104726ull},
       {12ull, 908ull, 7ull, 1082ull, 216ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 1551082012165507488ull, 15960419677968084774ull},
       {11ull, 823ull, 0ull, 906ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 56ull, 9009906258474012366ull, 8201358259433670434ull},
       {11ull, 622ull, 8ull, 486ull, 33ull, 0ull, 0ull, 0ull, 207ull, 519ull, 0ull, 9570714356383217200ull, 2687419571879166556ull},
       {7ull, 611ull, 0ull, 466ull, 0ull, 24ull, 0ull, 0ull, 0ull, 0ull, 267ull, 7256823003383413259ull, 2612483950399811682ull},
       {21ull, 1085ull, 9ull, 1409ull, 265ull, 0ull, 0ull, 0ull, 315ull, 844ull, 110ull, 6677294151902041637ull, 4757335550316235189ull},
-  });
-}
+};
 
-TEST(RouterPinned, ButterflyStalled) {
-  expect_pinned(OverlayKind::kButterfly, true, {
+const std::vector<CallPin> kButterflyStalledPins = {
       {16ull, 852ull, 8ull, 752ull, 47ull, 0ull, 0ull, 84ull, 0ull, 0ull, 0ull, 7896572762533247013ull, 13218472833797835969ull},
       {17ull, 805ull, 7ull, 677ull, 27ull, 0ull, 0ull, 96ull, 0ull, 0ull, 0ull, 12768685057223266151ull, 16970596998365424818ull},
       {12ull, 587ull, 0ull, 80ull, 0ull, 16ull, 0ull, 182ull, 0ull, 0ull, 0ull, 4718801798440037475ull, 10473862122416119258ull},
       {16ull, 808ull, 8ull, 632ull, 31ull, 0ull, 0ull, 97ull, 4ull, 663ull, 0ull, 13991032779773259534ull, 9762375008907879513ull},
       {13ull, 587ull, 0ull, 81ull, 0ull, 16ull, 0ull, 184ull, 0ull, 0ull, 0ull, 14874713051303588717ull, 15517557391910643513ull},
       {22ull, 931ull, 9ull, 973ull, 81ull, 0ull, 0ull, 81ull, 43ull, 586ull, 47ull, 12768359457223745132ull, 3286726279312114298ull},
-  });
-}
+};
 
-TEST(RouterPinned, AugmentedCube) {
-  expect_pinned(OverlayKind::kAugmentedCube, false, {
+const std::vector<CallPin> kAugmentedCubePins = {
       {7ull, 3303ull, 11ull, 607ull, 264ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 7442771131522761753ull, 15042887124111786376ull},
       {8ull, 3238ull, 11ull, 531ull, 216ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 7785177570630154651ull, 4604863165203628958ull},
       {8ull, 3222ull, 0ull, 478ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 38ull, 5469142860298347288ull, 10755412286826172452ull},
       {8ull, 3097ull, 12ull, 293ull, 38ull, 0ull, 0ull, 0ull, 202ull, 331ull, 0ull, 2063675137198728980ull, 380324616881649215ull},
       {5ull, 3094ull, 0ull, 290ull, 0ull, 24ull, 0ull, 0ull, 0ull, 0ull, 176ull, 2619424891716470970ull, 14565298379754940646ull},
       {13ull, 3459ull, 13ull, 763ull, 286ull, 0ull, 0ull, 0ull, 162ull, 330ull, 41ull, 10849534214051004067ull, 8616824989592472988ull},
-  });
-}
+};
 
-TEST(RouterPinned, AugmentedCubeStalled) {
-  expect_pinned(OverlayKind::kAugmentedCube, true, {
+const std::vector<CallPin> kAugmentedCubeStalledPins = {
       {11ull, 5247ull, 11ull, 540ull, 159ull, 0ull, 0ull, 1980ull, 0ull, 0ull, 0ull, 14693517510976807804ull, 13959779429542294730ull},
       {11ull, 5424ull, 11ull, 463ull, 136ull, 0ull, 0ull, 2222ull, 0ull, 0ull, 0ull, 10085353421487836323ull, 5474928515293978604ull},
       {10ull, 5811ull, 0ull, 251ull, 0ull, 0ull, 0ull, 2816ull, 0ull, 0ull, 0ull, 14845478659791586616ull, 2453875012776539870ull},
       {11ull, 5256ull, 13ull, 381ull, 50ull, 0ull, 0ull, 2068ull, 112ull, 431ull, 0ull, 1045148951480817959ull, 5302856124903941503ull},
       {9ull, 11472ull, 0ull, 217ull, 0ull, 24ull, 0ull, 8448ull, 0ull, 0ull, 5ull, 8088405667171149914ull, 12306206670479895829ull},
       {16ull, 4343ull, 13ull, 681ull, 220ull, 0ull, 0ull, 946ull, 53ull, 290ull, 26ull, 17524327352324951427ull, 6820019340950851503ull},
-  });
+};
+
+}  // namespace
+
+TEST(RouterPinned, Butterfly) { expect_pinned(OverlayKind::kButterfly, false, kButterflyPins); }
+
+TEST(RouterPinned, ButterflyStalled) { expect_pinned(OverlayKind::kButterfly, true, kButterflyStalledPins); }
+
+TEST(RouterPinned, AugmentedCube) { expect_pinned(OverlayKind::kAugmentedCube, false, kAugmentedCubePins); }
+
+TEST(RouterPinned, AugmentedCubeStalled) { expect_pinned(OverlayKind::kAugmentedCube, true, kAugmentedCubeStalledPins); }
+
+// The router keeps its per-call state in scratch the network reuses across
+// calls (overlay/scratch.hpp). Running the sequences back to back on one
+// network — over overlays of different sizes and degrees, through stalled
+// sequences, and with the same overlay twice in a row — must give every call
+// exactly its pinned fresh-network row: nothing a call leaves in the scratch
+// may leak into the next.
+TEST(RouterPinned, ScratchIsolatedAcrossCalls) {
+  struct Leg {
+    OverlayKind kind;
+    bool stall;
+    const std::vector<CallPin>* want;
+  };
+  const Leg legs[] = {{OverlayKind::kButterfly, false, &kButterflyPins},
+                      {OverlayKind::kAugmentedCube, true, &kAugmentedCubeStalledPins},
+                      {OverlayKind::kButterfly, false, &kButterflyPins},
+                      {OverlayKind::kButterfly, true, &kButterflyStalledPins},
+                      {OverlayKind::kAugmentedCube, false, &kAugmentedCubePins},
+                      {OverlayKind::kAugmentedCube, true, &kAugmentedCubeStalledPins},
+                      {OverlayKind::kButterfly, false, &kButterflyPins}};
+  for (bool engine : {false, true}) {
+    Network net = pinned_network();
+    std::optional<Engine> eng;
+    if (engine) eng.emplace(net, EngineConfig{.threads = 4, .loop_cutoff = 1, .delivery_cutoff = 1});
+    for (const Leg& leg : legs) {
+      std::vector<CallPin> got = run_sequence(net, leg.kind, leg.stall);
+      EXPECT_EQ(got, *leg.want) << overlay_name(leg.kind) << (leg.stall ? " stalled" : "")
+                                << (engine ? " engine t4" : " inline t1") << "; actual:\n"
+                                << format_pins(got);
+    }
+  }
 }
